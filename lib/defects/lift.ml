@@ -96,24 +96,28 @@ let candidates ?pdf (ext : Extract.Extraction.t) =
   cands_of ext ~bridges:(Sites.bridges ?pdf ext) ~opens:(Sites.opens ?pdf ext)
     ~cut_opens:(Sites.cut_opens ?pdf ext) ~stuck:(Sites.stuck ?pdf ext)
 
+(* One pass over the candidates, keyed on the canonical kind: the first
+   candidate of each class opens a slot (its list position, kind,
+   mechanism and note survive), later ones add their probability to it.
+   The additions run in list order, so each sum is bit-identical to the
+   left fold of its class in list order. *)
 let merge cands =
-  let rec fold acc = function
-    | [] -> List.rev acc
-    | c :: rest ->
-      let probe =
-        Faults.Fault.make ~id:"" ~kind:c.kind ~mechanism:c.mechanism ~prob:c.prob ()
-      in
-      let same (c' : cand) =
-        Faults.Fault.equivalent probe
-          (Faults.Fault.make ~id:"" ~kind:c'.kind ~mechanism:c'.mechanism ())
-      in
-      let dups, rest = List.partition same rest in
-      let merged =
-        List.fold_left (fun c d -> { c with prob = c.prob +. d.prob }) c dups
-      in
-      fold (merged :: acc) rest
+  let slots = Hashtbl.create 1024 in
+  let firsts =
+    List.fold_left
+      (fun firsts c ->
+        let key = Faults.Fault.canonical c.kind in
+        match Hashtbl.find_opt slots key with
+        | Some slot ->
+          slot := { !slot with prob = !slot.prob +. c.prob };
+          firsts
+        | None ->
+          let slot = ref c in
+          Hashtbl.add slots key slot;
+          slot :: firsts)
+      [] cands
   in
-  fold [] cands
+  List.rev_map ( ! ) firsts
 
 let classify faults =
   List.fold_left

@@ -15,7 +15,11 @@ type options = {
           demo VCO reproduces the paper's ~53 % list reduction) *)
   merge_equivalent : bool;
       (** merge faults with identical electrical effect, summing their
-          probabilities (default true) *)
+          probabilities (default true).  Equivalence is on the canonical
+          kind only ({!Faults.Fault.canonical}): a bridge's endpoints and a
+          break's moved terminals are unordered, and the mechanism is
+          ignored.  The merged fault takes the first candidate's place in
+          the list and keeps its mechanism and note. *)
 }
 
 val default_options : options

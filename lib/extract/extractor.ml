@@ -22,37 +22,55 @@ let err fmt = Format.kasprintf (fun m -> raise (Extract_error m)) fmt
 (* Channels: every poly-over-diffusion overlap region.  Two poly shapes
    running along the same track (a gate strip plus the wire feeding it)
    produce coincident intersection rectangles describing one physical
-   channel; keep only maximal regions. *)
+   channel; keep only maximal regions.  Containment implies touching, so
+   each channel is tested only against the channels its index query
+   returns. *)
 let dedupe_channels chans =
+  let arr = Array.of_list chans in
+  let index = Geom.Grid_index.create (Array.map snd arr) in
   let maximal (kind, r) =
     not
       (List.exists
-         (fun (k2, r2) ->
+         (fun j ->
+           let k2, r2 = arr.(j) in
            k2 = kind && not (Geom.Rect.equal r r2) && Geom.Rect.contains r2 r)
-         chans)
+         (Geom.Grid_index.touching index r))
   in
   List.filter maximal chans |> List.sort_uniq compare
 
+(* Each diffusion rectangle meets only the poly its index query returns:
+   [Rect.inter] is [Some] exactly for touching shapes, and the query's
+   ascending order lists channels by (diffusion, poly) index. *)
 let find_channels mask =
-  let poly = Layout.Mask.on mask Layout.Layer.Poly in
+  let poly = Array.of_list (Layout.Mask.on mask Layout.Layer.Poly) in
+  let index = Geom.Grid_index.create poly in
   let overlaps kind diff_layer =
     List.concat_map
       (fun d ->
         List.filter_map
           (fun p ->
-            match Geom.Rect.inter p d with
+            match Geom.Rect.inter poly.(p) d with
             | Some i when not (Geom.Rect.is_degenerate i) -> Some (kind, i)
             | Some _ | None -> None)
-          poly)
+          (Geom.Grid_index.touching index d))
       (Layout.Mask.on mask diff_layer)
   in
   dedupe_channels (overlaps `N Layout.Layer.Ndiff @ overlaps `P Layout.Layer.Pdiff)
 
 (* The conductor array: diffusion split at channels, then poly and metals
-   verbatim. *)
+   verbatim.  Each diffusion rectangle is cut only by the channels that
+   touch it, in channel order: [Rect.subtract] leaves a rectangle whole
+   for a cut that does not touch it, and does fragment it for one that
+   only meets its edge - hence the closed query. *)
 let build_conductors mask channel_rects =
+  let channels = Array.of_list channel_rects in
+  let index = Geom.Grid_index.create channels in
   let pieces layer =
-    Geom.Rect_set.subtract_all (Layout.Mask.on mask layer) channel_rects
+    List.concat_map
+      (fun d ->
+        List.map (fun c -> channels.(c)) (Geom.Grid_index.touching index d)
+        |> Geom.Rect_set.subtract_all [ d ])
+      (Layout.Mask.on mask layer)
     |> List.map (fun rect -> { Extraction.layer; rect })
   in
   let whole layer =
@@ -82,125 +100,56 @@ let number_nets uf n =
   done;
   (net_of, !next)
 
-let name_nets mask (conductors : Extraction.conductor array) net_of net_total =
+(* A label names the net of the lowest-index conductor on its layer that
+   contains its point ([touches] on a point is containment). *)
+let name_nets mask (conductors : Extraction.conductor array) index net_of net_total =
   let names = Array.make net_total "" in
   let used = Hashtbl.create 16 in
   List.iter
     (fun (l : Layout.Mask.label) ->
-      let found = ref false in
-      Array.iteri
-        (fun i (c : Extraction.conductor) ->
-          if (not !found)
-             && Layout.Layer.equal c.layer l.layer
-             && Geom.Rect.contains_point c.rect l.at
-          then begin
-            found := true;
-            let id = net_of.(i) in
-            if names.(id) = "" then begin
-              let name =
-                if Hashtbl.mem used l.net then begin
-                  (* Same label on two distinct nets: a designer error we
-                     surface by suffixing rather than silently merging. *)
-                  let k = Hashtbl.find used l.net + 1 in
-                  Hashtbl.replace used l.net k;
-                  Printf.sprintf "%s#%d" l.net k
-                end
-                else begin
-                  Hashtbl.add used l.net 1;
-                  l.net
-                end
-              in
-              names.(id) <- name
-            end
-          end)
-        conductors;
-      if not !found then
+      match
+        List.find_opt
+          (fun i -> Layout.Layer.equal conductors.(i).Extraction.layer l.layer)
+          (Geom.Grid_index.touching index (Geom.Rect.of_corners l.at l.at))
+      with
+      | None ->
         err "label %S at %s on %s hits no conductor" l.net
-          (Geom.Point.to_string l.at) (Layout.Layer.to_string l.layer))
+          (Geom.Point.to_string l.at) (Layout.Layer.to_string l.layer)
+      | Some i ->
+        let id = net_of.(i) in
+        if names.(id) = "" then begin
+          let name =
+            if Hashtbl.mem used l.net then begin
+              (* Same label on two distinct nets: a designer error we
+                 surface by suffixing rather than silently merging. *)
+              let k = Hashtbl.find used l.net + 1 in
+              Hashtbl.replace used l.net k;
+              Printf.sprintf "%s#%d" l.net k
+            end
+            else begin
+              Hashtbl.add used l.net 1;
+              l.net
+            end
+          in
+          names.(id) <- name
+        end)
     mask.Layout.Mask.labels;
   Array.iteri (fun id n -> if n = "" then names.(id) <- Printf.sprintf "n%d" id) names;
   names
 
-(* A coarse uniform grid over the conductor rectangles, so MOS
-   recognition queries only the conductors near a channel instead of
-   scanning the whole array per side (the O(channels * conductors)
-   hot spot on synthesized mega-layouts).  Queries return ascending
-   indices, preserving the first-match semantics of the linear scan. *)
-module Conductor_index = struct
-  type t = {
-    origin : Geom.Rect.t;
-    cell : int;
-    buckets : (int * int, int list ref) Hashtbl.t;
-  }
-
-  let cells t (r : Geom.Rect.t) =
-    ( (r.Geom.Rect.x0 - t.origin.Geom.Rect.x0) / t.cell,
-      (r.Geom.Rect.x1 - t.origin.Geom.Rect.x0) / t.cell,
-      (r.Geom.Rect.y0 - t.origin.Geom.Rect.y0) / t.cell,
-      (r.Geom.Rect.y1 - t.origin.Geom.Rect.y0) / t.cell )
-
-  let build (conductors : Extraction.conductor array) =
-    let n = Array.length conductors in
-    let origin =
-      if n = 0 then Geom.Rect.make 0 0 1 1
-      else
-        Array.fold_left
-          (fun acc (c : Extraction.conductor) -> Geom.Rect.hull acc c.rect)
-          conductors.(0).rect conductors
-    in
-    let cell =
-      if n = 0 then 1
-      else begin
-        let avg =
-          Array.fold_left
-            (fun acc (c : Extraction.conductor) ->
-              acc + max (Geom.Rect.width c.rect) (Geom.Rect.height c.rect))
-            0 conductors
-          / n
-        in
-        max 1 avg
-      end
-    in
-    let t = { origin; cell; buckets = Hashtbl.create 256 } in
-    Array.iteri
-      (fun i (c : Extraction.conductor) ->
-        let cx0, cx1, cy0, cy1 = cells t c.rect in
-        for cx = cx0 to cx1 do
-          for cy = cy0 to cy1 do
-            match Hashtbl.find_opt t.buckets (cx, cy) with
-            | Some l -> l := i :: !l
-            | None -> Hashtbl.add t.buckets (cx, cy) (ref [ i ])
-          done
-        done)
-      conductors;
-    t
-
-  (* Ascending conductor indices with a rectangle near [r] (everything
-     touching [r] is included; farther conductors may be too). *)
-  let near t (r : Geom.Rect.t) =
-    let cx0, cx1, cy0, cy1 = cells t (Geom.Rect.expand r 1) in
-    let acc = ref [] in
-    for cx = cx0 to cx1 do
-      for cy = cy0 to cy1 do
-        match Hashtbl.find_opt t.buckets (cx, cy) with
-        | Some l -> acc := !l @ !acc
-        | None -> ()
-      done
-    done;
-    List.sort_uniq Int.compare !acc
-end
-
 (* MOSFET recognition: the diffusion pieces flanking a channel on opposite
-   sides are its source and drain; the poly shape above is its gate. *)
-let recognise_mos mask conductors (channels : ([ `N | `P ] * Geom.Rect.t) list) =
-  let index = Conductor_index.build conductors in
+   sides are its source and drain; the poly shape above is its gate.  The
+   index returns the conductors touching the channel in ascending order,
+   so each lookup picks the lowest-index match. *)
+let recognise_mos mask (conductors : Extraction.conductor array) index
+    (channels : ([ `N | `P ] * Geom.Rect.t) list) =
   let find_gate ch =
     let found =
       List.find_opt
         (fun i ->
           let (c : Extraction.conductor) = conductors.(i) in
           Layout.Layer.equal c.layer Layout.Layer.Poly && Geom.Rect.overlaps c.rect ch)
-        (Conductor_index.near index ch)
+        (Geom.Grid_index.touching index ch)
     in
     match found with
     | Some i -> i
@@ -213,11 +162,10 @@ let recognise_mos mask conductors (channels : ([ `N | `P ] * Geom.Rect.t) list) 
   List.mapi
     (fun k (kind, ch) ->
       let layer = diff_layer kind in
-      let nearby = Conductor_index.near index ch in
+      let nearby = Geom.Grid_index.touching index ch in
       let neighbours side =
         let ok (c : Extraction.conductor) =
           Layout.Layer.equal c.layer layer
-          && Geom.Rect.touches c.rect ch
           &&
           match side with
           | `Left -> c.rect.Geom.Rect.x1 <= ch.Geom.Rect.x0
@@ -253,16 +201,18 @@ let recognise_mos mask conductors (channels : ([ `N | `P ] * Geom.Rect.t) list) 
     channels
 
 (* Plate capacitors: a hint named [C*] marks a poly-metal2 overlap. *)
-let recognise_caps ~options mask (conductors : Extraction.conductor array) =
+let recognise_caps ~options mask (conductors : Extraction.conductor array) index =
   List.filter_map
     (fun (h : Layout.Mask.device_hint) ->
       if String.length h.name > 0 && (h.name.[0] = 'C' || h.name.[0] = 'c') then begin
         (* The hint region may clip wire stubs feeding the plate; the
-           plate proper is the conductor with the largest overlap. *)
+           plate proper is the conductor with the largest overlap (the
+           lowest index among equals). *)
         let plate layer =
           let best = ref None in
-          Array.iteri
-            (fun i (c : Extraction.conductor) ->
+          List.iter
+            (fun i ->
+              let (c : Extraction.conductor) = conductors.(i) in
               if Layout.Layer.equal c.layer layer then begin
                 match Geom.Rect.inter c.rect h.channel with
                 | Some ov when not (Geom.Rect.is_degenerate ov) ->
@@ -272,7 +222,7 @@ let recognise_caps ~options mask (conductors : Extraction.conductor array) =
                   | Some _ | None -> best := Some (i, a))
                 | Some _ | None -> ()
               end)
-            conductors;
+            (Geom.Grid_index.touching index h.channel);
           match !best with
           | Some (i, _) -> i
           | None ->
@@ -316,10 +266,13 @@ let assemble ?(options = default_options) sk ~uf ~joins =
   let channel_list = sk.sk_channels in
   let conductors = sk.sk_conductors in
   let cut_shapes = sk.sk_cut_shapes in
+  let index =
+    Geom.Grid_index.create (Array.map (fun (c : Extraction.conductor) -> c.rect) conductors)
+  in
   let net_of, net_total = number_nets uf (Array.length conductors) in
-  let net_names = name_nets mask conductors net_of net_total in
-  let channels = recognise_mos mask conductors channel_list in
-  let caps = recognise_caps ~options mask conductors in
+  let net_names = name_nets mask conductors index net_of net_total in
+  let channels = recognise_mos mask conductors index channel_list in
+  let caps = recognise_caps ~options mask conductors index in
   let net i = net_names.(net_of.(i)) in
   let mos_devices =
     List.map

@@ -24,17 +24,17 @@ let y_span r = Interval.make r.y0 r.y1
 let center r = Point.make ((r.x0 + r.x1) / 2) ((r.y0 + r.y1) / 2)
 
 let inter a b =
-  let x0 = max a.x0 b.x0
-  and y0 = max a.y0 b.y0
-  and x1 = min a.x1 b.x1
-  and y1 = min a.y1 b.y1 in
+  let x0 = Int.max a.x0 b.x0
+  and y0 = Int.max a.y0 b.y0
+  and x1 = Int.min a.x1 b.x1
+  and y1 = Int.min a.y1 b.y1 in
   if x0 <= x1 && y0 <= y1 then Some { x0; y0; x1; y1 } else None
 
 let overlaps a b =
-  min a.x1 b.x1 > max a.x0 b.x0 && min a.y1 b.y1 > max a.y0 b.y0
+  Int.min a.x1 b.x1 > Int.max a.x0 b.x0 && Int.min a.y1 b.y1 > Int.max a.y0 b.y0
 
 let touches a b =
-  min a.x1 b.x1 >= max a.x0 b.x0 && min a.y1 b.y1 >= max a.y0 b.y0
+  Int.min a.x1 b.x1 >= Int.max a.x0 b.x0 && Int.min a.y1 b.y1 >= Int.max a.y0 b.y0
 
 let contains_point r (p : Point.t) =
   r.x0 <= p.x && p.x <= r.x1 && r.y0 <= p.y && p.y <= r.y1

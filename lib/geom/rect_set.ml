@@ -68,63 +68,29 @@ let inter_with rs clip =
       | Some _ | None -> None)
     rs
 
-(* Coarse uniform grid bucketing: each rectangle (expanded by [margin]) is
-   dropped into the grid cells it covers; only rectangles sharing a cell are
-   tested pairwise. *)
-let candidate_pairs ~margin rs =
+(* Pairs [(i, j)], [i < j], whose rectangles come within [margin] of
+   each other (each grown by [margin] touches the other), kept when
+   [keep i j] says so.  Each query returns ascending [j]; walking [i]
+   downwards and prepending leaves the list sorted. *)
+let pairs_within ~margin rs keep =
   let n = Array.length rs in
-  if n = 0 then []
+  if n < 2 then []
   else begin
-    let bbox = ref rs.(0) in
-    for i = 1 to n - 1 do
-      bbox := Rect.hull !bbox rs.(i)
+    let index = Grid_index.create rs in
+    let acc = ref [] in
+    for i = n - 1 downto 0 do
+      acc :=
+        List.fold_right
+          (fun j acc ->
+            if j <= i then acc
+            else match keep i j with Some p -> p :: acc | None -> acc)
+          (Grid_index.touching index (Rect.expand rs.(i) margin))
+          !acc
     done;
-    let b = !bbox in
-    let cell =
-      let avg =
-        Array.fold_left (fun acc r -> acc + max (Rect.width r) (Rect.height r)) 0 rs
-        / n
-      in
-      max 1 (max avg (2 * margin))
-    in
-    let buckets : (int * int, int list ref) Hashtbl.t = Hashtbl.create 64 in
-    Array.iteri
-      (fun i r ->
-        let r = Rect.expand r margin in
-        let cx0 = (r.Rect.x0 - b.Rect.x0) / cell
-        and cx1 = (r.Rect.x1 - b.Rect.x0) / cell
-        and cy0 = (r.Rect.y0 - b.Rect.y0) / cell
-        and cy1 = (r.Rect.y1 - b.Rect.y0) / cell in
-        for cx = cx0 to cx1 do
-          for cy = cy0 to cy1 do
-            match Hashtbl.find_opt buckets (cx, cy) with
-            | Some l -> l := i :: !l
-            | None -> Hashtbl.add buckets (cx, cy) (ref [ i ])
-          done
-        done)
-      rs;
-    let seen = Hashtbl.create 64 in
-    Hashtbl.fold
-      (fun _ members acc ->
-        let ms = !members in
-        List.fold_left
-          (fun acc i ->
-            List.fold_left
-              (fun acc j ->
-                if i < j && not (Hashtbl.mem seen (i, j)) then begin
-                  Hashtbl.add seen (i, j) ();
-                  (i, j) :: acc
-                end
-                else acc)
-              acc ms)
-          acc ms)
-      buckets []
+    !acc
   end
 
-let touching_pairs rs =
-  candidate_pairs ~margin:0 rs
-  |> List.filter (fun (i, j) -> Rect.touches rs.(i) rs.(j))
-  |> List.sort compare
+let touching_pairs rs = pairs_within ~margin:0 rs (fun i j -> Some (i, j))
 
 let components rs =
   let n = Array.length rs in
@@ -145,13 +111,10 @@ let components rs =
   (comp, !next)
 
 let close_pairs ~within rs =
-  candidate_pairs ~margin:within rs
-  |> List.filter_map (fun (i, j) ->
-         match Rect.facing rs.(i) rs.(j) with
-         | Some (spacing, length) when spacing <= within ->
-           Some (i, j, spacing, length)
-         | Some _ | None -> None)
-  |> List.sort compare
+  pairs_within ~margin:within rs (fun i j ->
+      match Rect.facing rs.(i) rs.(j) with
+      | Some (spacing, length) when spacing <= within -> Some (i, j, spacing, length)
+      | Some _ | None -> None)
 
 let bounding_box = function
   | [] -> invalid_arg "Rect_set.bounding_box: empty"

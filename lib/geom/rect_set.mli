@@ -1,9 +1,8 @@
 (** Operations on collections of rectangles (one mask layer's shapes).
 
     Collections are plain lists; the functions here provide the sweep-style
-    bulk operations needed by extraction and fault analysis.  Sizes are
-    layout-scale (hundreds to a few thousand shapes), so the quadratic
-    candidate generation is bucketed by a coarse grid to stay fast. *)
+    bulk operations needed by extraction and fault analysis.  The pair
+    sweeps query a {!Grid_index}, so only nearby rectangles are tested. *)
 
 (** [union_area rs] is the area of the union of [rs] (overlaps counted
     once), by coordinate-compressed scanline. *)
@@ -27,8 +26,7 @@ val subtract_all : Rect.t list -> Rect.t list -> Rect.t list
 val inter_with : Rect.t list -> Rect.t -> Rect.t list
 
 (** [touching_pairs rs] lists the pairs [(i, j)] with [i < j] whose
-    rectangles touch or overlap ({!Rect.touches}), bucketed so only nearby
-    rectangles are tested. *)
+    rectangles touch or overlap ({!Rect.touches}), in ascending order. *)
 val touching_pairs : Rect.t array -> (int * int) list
 
 (** [components rs] groups the indices of [rs] into electrically connected
@@ -40,7 +38,8 @@ val components : Rect.t array -> int array * int
     [i < j] such that rectangles [i] and [j] are disjoint and face each
     other with [0 < spacing <= within] over facing length [length > 0].
     Pairs that touch or overlap are excluded (they are already connected);
-    purely diagonal pairs are excluded (negligible bridge critical area). *)
+    purely diagonal pairs are excluded (negligible bridge critical area).
+    The list is in ascending order. *)
 val close_pairs : within:int -> Rect.t array -> (int * int * int * int) list
 
 (** [bounding_box rs] is the hull of all rectangles.  Raises [Invalid_argument]

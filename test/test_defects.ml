@@ -174,4 +174,100 @@ let lift_tests =
           (String.length (Format.asprintf "%a" Defects.Lift.pp_classes c) > 0));
   ]
 
-let suites = [ ("defects.sites", sites_tests); ("defects.lift", lift_tests) ]
+(* The reference merge for the property below, quadratic but plainly
+   right: each candidate partitions the rest of the list into its
+   equivalents ([Fault.equivalent]) and the others, and absorbs the
+   equivalents' probabilities in list order. *)
+let partition_merge (cands : Defects.Lift.cand list) =
+  let rec fold acc = function
+    | [] -> List.rev acc
+    | (c : Defects.Lift.cand) :: rest ->
+      let probe =
+        Faults.Fault.make ~id:"" ~kind:c.kind ~mechanism:c.mechanism ~prob:c.prob ()
+      in
+      let same (c' : Defects.Lift.cand) =
+        Faults.Fault.equivalent probe
+          (Faults.Fault.make ~id:"" ~kind:c'.kind ~mechanism:c'.mechanism ())
+      in
+      let dups, rest = List.partition same rest in
+      let merged =
+        List.fold_left
+          (fun (c : Defects.Lift.cand) (d : Defects.Lift.cand) ->
+            { c with prob = c.prob +. d.prob })
+          c dups
+      in
+      fold (merged :: acc) rest
+  in
+  fold [] cands
+
+(* Random candidates drawn from small pools, so equivalent kinds recur:
+   bridges with either endpoint order, breaks whose moved terminals come
+   in any order, and equivalents that differ in mechanism and note.
+   Probabilities span many binades, so a sum folded in another order
+   would differ in its low bits. *)
+let cand_gen =
+  let open QCheck.Gen in
+  let net = oneofl [ "0"; "1"; "out"; "in"; "n3" ] in
+  let terminal =
+    map2
+      (fun device port -> { Faults.Fault.device; port })
+      (oneofl [ "M1"; "M2"; "M3" ])
+      (int_range 0 2)
+  in
+  let kind =
+    frequency
+      [
+        (3, map2 (fun net_a net_b -> Faults.Fault.Bridge { net_a; net_b }) net net);
+        ( 3,
+          map2
+            (fun net moved -> Faults.Fault.Break { net; moved })
+            net
+            (list_size (int_range 0 3) terminal >>= shuffle_l) );
+        (1, map (fun device -> Faults.Fault.Stuck_open { device }) (oneofl [ "M1"; "M2" ]));
+      ]
+  in
+  map4
+    (fun kind mechanism note e -> { Defects.Lift.kind; mechanism; note; prob = Float.exp e })
+    kind
+    (oneofl [ "metal1_short"; "poly_short"; "metal1_open"; "contact_open"; "channel_open" ])
+    (oneofl [ ""; "on metal1"; "cut of poly shape [0,0..1,1]" ])
+    (float_range (-40.) (-8.))
+
+let merge_qcheck =
+  let open QCheck in
+  let print cands =
+    String.concat "\n"
+      (List.map
+         (fun (c : Defects.Lift.cand) ->
+           Format.asprintf "%a"
+             Faults.Fault.pp
+             (Faults.Fault.make ~id:"" ~kind:c.kind ~mechanism:c.mechanism ~prob:c.prob
+                ~note:c.note ()))
+         cands)
+  in
+  [
+    Test.make ~name:"one-pass merge = pairwise partition merge, bit for bit" ~count:300
+      (make ~print Gen.(list_size (int_range 0 60) cand_gen))
+      (fun cands ->
+        let options =
+          { Defects.Lift.default_options with p_min = 0.; merge_equivalent = true }
+        in
+        let got = (Defects.Lift.finalise options cands).Defects.Lift.faults in
+        let want = partition_merge cands in
+        List.length got = List.length want
+        && List.for_all2
+             (fun (f : Faults.Fault.t) (c : Defects.Lift.cand) ->
+               f.kind = c.kind && f.mechanism = c.mechanism && f.note = c.note
+               && Int64.equal (Int64.bits_of_float f.prob) (Int64.bits_of_float c.prob))
+             got want
+        && List.for_all Fun.id
+             (List.mapi (fun i (f : Faults.Fault.t) -> f.id = Printf.sprintf "#%d" (i + 1)) got));
+  ]
+  |> List.map QCheck_alcotest.to_alcotest
+
+let suites =
+  [
+    ("defects.sites", sites_tests);
+    ("defects.lift", lift_tests);
+    ("defects.properties", merge_qcheck);
+  ]

@@ -218,5 +218,122 @@ let extraction_qcheck =
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
+(* The all-pairs skeleton the indexed one replaced: every diffusion
+   rectangle against every poly rectangle, every channel against every
+   other for containment, and every diffusion rectangle cut by every
+   channel in turn. *)
+let naive_skeleton mask =
+  let on = Layout.Mask.on mask in
+  let overlaps kind diff_layer =
+    List.concat_map
+      (fun d ->
+        List.filter_map
+          (fun p ->
+            match Geom.Rect.inter p d with
+            | Some i when not (Geom.Rect.is_degenerate i) -> Some (kind, i)
+            | Some _ | None -> None)
+          (on Layout.Layer.Poly))
+      (on diff_layer)
+  in
+  let chans = overlaps `N Layout.Layer.Ndiff @ overlaps `P Layout.Layer.Pdiff in
+  let maximal (kind, r) =
+    not
+      (List.exists
+         (fun (k2, r2) ->
+           k2 = kind && not (Geom.Rect.equal r r2) && Geom.Rect.contains r2 r)
+         chans)
+  in
+  let channels = List.filter maximal chans |> List.sort_uniq compare in
+  let pieces layer =
+    Geom.Rect_set.subtract_all (on layer) (List.map snd channels)
+    |> List.map (fun rect -> { Extract.Extraction.layer; rect })
+  in
+  let whole layer = List.map (fun rect -> { Extract.Extraction.layer; rect }) (on layer) in
+  ( channels,
+    Array.of_list
+      (pieces Layout.Layer.Ndiff @ pieces Layout.Layer.Pdiff @ whole Layout.Layer.Poly
+     @ whole Layout.Layer.Metal1 @ whole Layout.Layer.Metal2) )
+
+(* Random poly/diffusion masks on a coarse grid, so shapes often share
+   edges.  Besides free rectangles, each mask gets poly strips that only
+   abut a diffusion rectangle (a cut that touches without overlapping
+   still fragments it) and coincident poly strips over one track (a gate
+   plus the wire feeding it, giving nested channels). *)
+let skeleton_qcheck =
+  let open QCheck in
+  let u = 1000 in
+  let rect_gen =
+    Gen.(
+      map
+        (fun (x, y, w, h) -> Geom.Rect.make (x * u) (y * u) ((x + w) * u) ((y + h) * u))
+        (quad (int_range 0 12) (int_range 0 12) (int_range 1 6) (int_range 1 6)))
+  in
+  let layer_gen =
+    Gen.oneofl
+      [ Layout.Layer.Ndiff; Layout.Layer.Pdiff; Layout.Layer.Poly; Layout.Layer.Metal1 ]
+  in
+  (* Derived poly around one diffusion rectangle [d]. *)
+  let extra_gen (d : Geom.Rect.t) =
+    Gen.(
+      oneof
+        [
+          (* Abuts [d] on its left or bottom edge. *)
+          return (Geom.Rect.make (d.x0 - u) d.y0 d.x0 d.y1);
+          return (Geom.Rect.make d.x0 (d.y0 - u) d.x1 d.y0);
+          (* A vertical strip across [d] ... *)
+          map
+            (fun k ->
+              let x = d.x0 + (k * u / 2) in
+              Geom.Rect.make x (d.y0 - u) (x + u) (d.y1 + u))
+            (int_range 0 4);
+          (* ... and the same track twice, once longer. *)
+          return (Geom.Rect.make d.x0 d.y0 (d.x0 + u) d.y1);
+        ])
+  in
+  let mask_gen =
+    Gen.(
+      list_size (int_range 1 14) (pair layer_gen rect_gen) >>= fun shapes ->
+      let diffs =
+        List.filter_map
+          (fun (l, r) ->
+            if Layout.Layer.equal l Layout.Layer.Ndiff || Layout.Layer.equal l Layout.Layer.Pdiff
+            then Some r
+            else None)
+          shapes
+      in
+      (match diffs with
+      | [] -> return []
+      | _ -> list_size (int_range 0 6) (oneofl diffs >>= extra_gen))
+      >>= fun extras ->
+      (list_size (int_range 0 3) (oneofl (List.map snd shapes)))
+      >|= fun twins ->
+      shapes
+      @ List.map (fun r -> (Layout.Layer.Poly, r)) extras
+      @ List.map (fun r -> (Layout.Layer.Poly, r)) twins)
+  in
+  let print shapes =
+    String.concat "; "
+      (List.map
+         (fun (l, r) -> Layout.Layer.to_string l ^ " " ^ Geom.Rect.to_string r)
+         shapes)
+  in
+  [
+    Test.make ~name:"indexed skeleton = all-pairs skeleton" ~count:400
+      (make ~print mask_gen)
+      (fun shapes ->
+        let mask =
+          List.fold_left
+            (fun m (l, r) -> Layout.Mask.add_shape m l r)
+            (Layout.Mask.empty tech) shapes
+        in
+        let sk = Extract.Extractor.skeleton mask in
+        let channels, conductors = naive_skeleton mask in
+        sk.sk_channels = channels && sk.sk_conductors = conductors);
+  ]
+  |> List.map QCheck_alcotest.to_alcotest
+
 let suites =
-  [ ("extract", extraction_tests); ("extract.properties", extraction_qcheck) ]
+  [
+    ("extract", extraction_tests);
+    ("extract.properties", extraction_qcheck @ skeleton_qcheck);
+  ]

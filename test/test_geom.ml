@@ -286,6 +286,22 @@ let qcheck_tests =
         u <= sum && List.for_all (fun r -> u >= Geom.Rect.area r) rs);
     Test.make ~name:"facing symmetric" ~count:500 arb_pair (fun (a, b) ->
         Geom.Rect.facing a b = Geom.Rect.facing b a);
+    (* Mixes huge and degenerate shapes with queries inside, on the edge
+       of and outside the indexed area. *)
+    Test.make ~name:"grid index touching = filtered scan" ~count:300
+      (pair
+         (list_of_size (Gen.int_range 0 30) arb_rect)
+         (list_of_size (Gen.int_range 1 5) arb_rect))
+      (fun (rs, queries) ->
+        let rs = Array.of_list rs in
+        let index = Geom.Grid_index.create rs in
+        List.for_all
+          (fun q ->
+            Geom.Grid_index.touching index q
+            = List.filter
+                (fun i -> Geom.Rect.touches rs.(i) q)
+                (List.init (Array.length rs) Fun.id))
+          queries);
   ]
   |> List.map QCheck_alcotest.to_alcotest
 

@@ -138,6 +138,15 @@ let parity_tests =
         in
         check_str "uniform pdf" (serial_text ~options mask)
           (pipeline_text ~options mask));
+    (* Large enough that the whole-layout stages (channel finding,
+       diffusion splitting, label lookup, the equivalent-fault merge)
+       dominate, so they meet the per-tile ones at a realistic scale. *)
+    Alcotest.test_case "12x12 vco array: tiled and untiled equal serial" `Quick
+      (fun () ->
+        let mask = Synth.Layout_synth.vco_array ~rows:12 ~cols:12 () in
+        let reference = serial_text mask in
+        check_str "tile=pitch" reference (pipeline_text mask);
+        check_str "one tile" reference (pipeline_text ~tile:0 mask));
   ]
 
 let all_cached c =
