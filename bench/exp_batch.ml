@@ -3,7 +3,9 @@
    E-B1 - session reuse: simulate the same >=20-fault universe once by
    rebuilding all engine state per fault (the pre-session reference
    path) and once through a shared Engine.Session whose node map and
-   solver buffers persist across the batch.
+   solver buffers persist across the fault list.  Both loops run every
+   transient to tstop, so the comparison isolates the session from
+   fault dropping.
 
    E-B2 - scheduling: on a deliberately skewed fault list (full
    transients at even indices, instantly failing faults at odd ones),
@@ -96,11 +98,7 @@ let run () =
     in
     let session_loop () =
       let sess = Anafault.Simulate.session config circuit in
-      List.map
-        (fun f ->
-          Anafault.Simulate.guard f (fun () ->
-              Anafault.Simulate.run_one_in config sess ~nominal f))
-        faults
+      List.map (Helpers.full_transient_in config sess ~nominal) faults
     in
     let reps = 15 in
     ignore (rebuild_loop ());

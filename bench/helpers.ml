@@ -55,3 +55,40 @@ let inject_resistor circuit a b r =
        { name = Netlist.Circuit.fresh_name circuit "FB"; n1 = a; n2 = b; value = r })
 
 let row fmt = Printf.printf fmt
+
+(* One fault through a campaign session without fault dropping: patch,
+   run the whole transient, compare with [Detect.analyse].  A fault this
+   plain cycle cannot settle - a kernel failure the retry ladder must
+   rescue, a patch too big for the session overlay - goes through
+   [Simulate.run_one], the rebuild path, which also runs whole
+   transients. *)
+let full_transient_in (config : Anafault.Simulate.config) sess ~nominal fault =
+  let t0 = Sys.time () in
+  let { Netlist.Parser.tstep; tstop; uic } = config.tran in
+  let circuit = Sim.Engine.Session.circuit sess in
+  match
+    let faulty_circuit = Faults.Inject.apply ~model:config.model circuit fault in
+    let wf, stats =
+      Sim.Engine.Session.with_patch sess faulty_circuit
+        (Sim.Engine.Session.transient ~tstep ~tstop ~uic)
+    in
+    let faulty = Sim.Waveform.resample wf ~n:config.samples in
+    ( Anafault.Detect.analyse ~tolerance:config.tolerance ~signal:config.observed
+        ~nominal ~faulty,
+      stats )
+  with
+  | Ok verdict, stats ->
+    {
+      Anafault.Simulate.fault;
+      outcome =
+        (match verdict with
+        | Some t -> Anafault.Simulate.Detected t
+        | None -> Anafault.Simulate.Undetected);
+      attempts =
+        [ { Anafault.Simulate.strategy = Anafault.Outcome.Baseline; failure = None } ];
+      stats;
+      cpu_seconds = Sys.time () -. t0;
+    }
+  | (Error _, _ | exception _) ->
+    Anafault.Simulate.guard fault (fun () ->
+        Anafault.Simulate.run_one config circuit ~nominal fault)

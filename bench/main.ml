@@ -7,7 +7,7 @@
      dune exec bench/main.exe -- batch   # only the session/scheduler experiment
      dune exec bench/main.exe -- obs     # only the telemetry-overhead experiment
      dune exec bench/main.exe -- solver  # only the solver-backend crossover
-     dune exec bench/main.exe -- batch-faults  # only the lock-step batch-width crossover
+     dune exec bench/main.exe -- batch-faults  # only the fault-dropping experiment
      dune exec bench/main.exe -- lift    # only the staged-pipeline scaling experiment
 *)
 

@@ -4,7 +4,7 @@
          [--faults faults.flt | --universe] [--observe NODE]
          [--model source|resistor] [--solver auto|dense|sparse]
          [--tol-v V] [--tol-t S]
-         [--domains N] [--batch N] [--limit N] [--csv FILE] [--plot]
+         [--domains N] [--limit N] [--csv FILE] [--plot]
          [--trace FILE.jsonl] [--metrics]
          [--journal FILE] [--resume] [--retries SPEC]
          [--budget-iters N] [--budget-steps N] [--budget-seconds S]
@@ -20,9 +20,8 @@
    flags bound the work spent on each fault; --retries configures the
    escalation ladder tried when a fault's simulation fails to converge.
 
-   --batch sets the lock-step batch width: how many faulty variants
-   advance together through one shared time grid per chunk of stolen
-   work (0 = automatic; 1 = the per-fault serial path).
+   Each fault's transient stops as soon as its detection verdict is
+   final (fault dropping); faults that stay undetected run to tstop.
 
    Remote mode: --remote SOCKET submits the campaign to a running
    anafaultd daemon instead of simulating in-process, streaming its
@@ -398,7 +397,7 @@ let run_local spec observe_spec trace metrics plot csv_file journal_path resume
    list travel as text, so the same value can run locally, go over the
    wire, or be saved and re-run via --spec. *)
 let spec_of_cli input fault_file universe observe model_name solver_name tol_v
-    tol_t domains batch limit retries_spec budget_iters budget_steps
+    tol_t domains limit retries_spec budget_iters budget_steps
     budget_seconds =
   let deck = read_file input in
   let faults =
@@ -418,7 +417,7 @@ let spec_of_cli input fault_file universe observe model_name solver_name tol_v
   in
   match
     Campaign.options_of_cli ~model:model_name ~solver:solver_name ~tol_v ~tol_t
-      ~retries:retries_spec ~domains ~batch ?budget_iters ?budget_steps
+      ~retries:retries_spec ~domains ?budget_iters ?budget_steps
       ?budget_seconds ()
   with
   | Error msg ->
@@ -446,7 +445,7 @@ let load_spec path =
   end
 
 let run input fault_file universe observe model_name solver_name tol_v tol_t
-    domains batch limit csv_file plot trace metrics journal_path resume
+    domains limit csv_file plot trace metrics journal_path resume
     retries_spec budget_iters budget_steps budget_seconds abort_after remote
     remote_retries remote_backoff remote_timeout client_name remote_stats
     remote_shutdown spec_file shard_spec deadline cancel_fp =
@@ -479,7 +478,7 @@ let run input fault_file universe observe model_name solver_name tol_v tol_t
       | None, Some input ->
         Some
           (spec_of_cli input fault_file universe observe model_name solver_name
-             tol_v tol_t domains batch limit retries_spec budget_iters
+             tol_v tol_t domains limit retries_spec budget_iters
              budget_steps budget_seconds)
       | None, None -> None
     in
@@ -542,14 +541,6 @@ let tol_t =
 
 let domains =
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc:"Run fault simulations on $(docv) domains.")
-
-let batch =
-  Arg.(value & opt int 0
-       & info [ "batch" ] ~docv:"N"
-           ~doc:"Lock-step batch width: simulate $(docv) faulty variants \
-                 together through one shared time grid, dropping each the \
-                 moment its detection verdict is final.  0 (default) picks \
-                 a width automatically; 1 forces the per-fault serial path.")
 
 let limit =
   Arg.(value & opt (some int) None & info [ "limit" ] ~docv:"N" ~doc:"Simulate only the first $(docv) faults of the list.")
@@ -684,7 +675,7 @@ let cmd =
     (Cmd.info "anafault" ~doc)
     Term.(
       const run $ input $ fault_file $ universe $ observe $ model_name
-      $ solver_name $ tol_v $ tol_t $ domains $ batch $ limit $ csv_file $ plot
+      $ solver_name $ tol_v $ tol_t $ domains $ limit $ csv_file $ plot
       $ trace $ metrics $ journal_path $ resume $ retries_spec $ budget_iters
       $ budget_steps $ budget_seconds $ abort_after $ remote $ remote_retries
       $ remote_backoff $ remote_timeout $ client_name $ remote_stats

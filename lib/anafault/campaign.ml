@@ -60,7 +60,6 @@ type options = {
   retries : Outcome.strategy list;
   samples : int;
   domains : int;
-  batch : int;
 }
 
 let default_options =
@@ -71,7 +70,6 @@ let default_options =
     retries = [ Outcome.Swap_model ];
     samples = 400;
     domains = 1;
-    batch = 0;
   }
 
 let model_to_json = function
@@ -219,7 +217,6 @@ let options_to_json o =
       );
       ("samples", J.Int o.samples);
       ("domains", J.Int o.domains);
-      ("batch", J.Int o.batch);
     ]
 
 let options_of_json json =
@@ -244,13 +241,12 @@ let options_of_json json =
   in
   let* samples = get fields "samples" ~default:d.samples as_int in
   let* domains = get fields "domains" ~default:d.domains as_int in
-  let* batch = get fields "batch" ~default:d.batch as_int in
-  Ok { model; tolerance; sim; retries; samples; domains; batch }
+  Ok { model; tolerance; sim; retries; samples; domains }
 
 let options_of_cli ?(model = "source") ?(solver = "auto")
     ?(tol_v = Detect.paper_tolerance.Detect.tol_v)
     ?(tol_t = Detect.paper_tolerance.Detect.tol_t) ?(retries = "swap-model")
-    ?(samples = 400) ?(domains = 1) ?(batch = 0) ?budget_iters ?budget_steps
+    ?(samples = 400) ?(domains = 1) ?budget_iters ?budget_steps
     ?budget_seconds () =
   let* model =
     match model with
@@ -262,7 +258,6 @@ let options_of_cli ?(model = "source") ?(solver = "auto")
   let* retries = retries_of_spec retries in
   if samples <= 1 then Error "samples must be at least 2"
   else if domains < 1 then Error "domains must be at least 1"
-  else if batch < 0 then Error "batch must be non-negative"
   else
     Ok
       {
@@ -282,7 +277,6 @@ let options_of_cli ?(model = "source") ?(solver = "auto")
         retries;
         samples;
         domains;
-        batch;
       }
 
 let config_of_options ?(obs = Obs.null) o ~tran ~observed =
@@ -295,7 +289,6 @@ let config_of_options ?(obs = Obs.null) o ~tran ~observed =
     retries = o.retries;
     samples = o.samples;
     domains = o.domains;
-    batch = o.batch;
     obs;
   }
 
@@ -307,7 +300,6 @@ let options_of_config (c : Simulate.config) =
     retries = c.Simulate.retries;
     samples = c.Simulate.samples;
     domains = c.Simulate.domains;
-    batch = c.Simulate.batch;
   }
 
 (* --- Specs ------------------------------------------------------------- *)

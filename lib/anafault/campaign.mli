@@ -8,7 +8,7 @@
     distributed run are the same {!spec} pushed through the same
     {!compile}/{!run_local} machinery, differing only in who drives the
     loop.  This supersedes reaching for {!Simulate.default_config} and
-    the [run_one]/[run_one_in]/[run_batch]/[run] entry points directly;
+    the [run_one]/[run_one_in]/[run] entry points directly;
     those remain as the engine room underneath (see the migration notes
     in DESIGN.md). *)
 
@@ -17,8 +17,8 @@
     Everything about a campaign that is not the circuit, the stimulus or
     the fault list, collapsed into one documented record: fault model,
     detection tolerance, kernel options (solver backend, integration
-    method, work budget included), retry ladder, output grid, scheduler
-    width and lock-step batch width.  The record round-trips through
+    method, work budget included), retry ladder, output grid and
+    scheduler width.  The record round-trips through
     JSON ({!options_to_json}/{!options_of_json}) and builds from
     CLI-shaped primitives ({!options_of_cli}). *)
 type options = {
@@ -29,18 +29,19 @@ type options = {
   retries : Outcome.strategy list;  (** escalation ladder after failures *)
   samples : int;  (** output grid size (the paper's 400-step run) *)
   domains : int;  (** scheduler width; 1 = serial *)
-  batch : int;  (** lock-step batch width; 0 = automatic *)
 }
 
 (** The paper's working point: source model, 2 V / 0.2 us tolerance,
     default kernel options, a one-rung [Swap_model] ladder, 400 samples,
-    one domain, automatic batch width. *)
+    one domain. *)
 val default_options : options
 
 val options_to_json : options -> Obs.Json.t
 
 (** Total inverse of {!options_to_json}.  Missing fields take their
-    {!default_options} value; ill-typed fields are errors. *)
+    {!default_options} value; ill-typed fields are errors; unknown
+    fields are ignored, so options written by an older version (such as
+    the retired ["batch"] width) still decode. *)
 val options_of_json : Obs.Json.t -> (options, string) result
 
 (** [options_of_cli ()] builds {!options} from the CLI's primitive
@@ -55,7 +56,6 @@ val options_of_cli :
   ?retries:string ->
   ?samples:int ->
   ?domains:int ->
-  ?batch:int ->
   ?budget_iters:int ->
   ?budget_steps:int ->
   ?budget_seconds:float ->
@@ -213,8 +213,8 @@ type local = {
 }
 
 (** [run_local compiled] executes the campaign in-process through
-    {!Parsim.execute} (serial, parallel and lock-step batched paths
-    dispatch on the compiled options).  [progress] and [journal] are
+    {!Parsim.execute} (the serial and parallel paths dispatch on the
+    compiled options' domain count).  [progress] and [journal] are
     passed through; exceptions of the nominal simulation propagate
     ({!Sim.Engine.Sim_error}). *)
 val run_local :

@@ -114,10 +114,10 @@ let analyse ~tolerance ~signal ~nominal ~faulty =
     end
   end
 
-(* Prefix-decidable detection for the batched lock-step loop: faulty
-   samples arrive one grid point at a time, and the moment the combined
-   raw/smooth verdict can no longer change the fault is retired from the
-   batch.  Fed the full grid, the verdict equals [detection_index] on
+(* Prefix-decidable detection for fault dropping: faulty samples arrive
+   one grid point at a time, and the moment the combined raw/smooth
+   verdict can no longer change the campaign stops the fault's
+   transient.  Fed the full grid, the verdict equals [detection_index] on
    the same arrays - including the tail flush, which only ever fires at
    the last index and therefore never causes a premature [Detected]. *)
 module Incremental = struct

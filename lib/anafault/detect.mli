@@ -59,11 +59,11 @@ val analyse :
   faulty:Sim.Waveform.t ->
   (float option, string) result
 
-(** Prefix-decidable detection, for the lock-step batched campaign loop:
-    faulty samples on the nominal grid are fed one at a time, and the
-    verdict becomes final the moment it can no longer change - for most
-    detected faults well before tstop, which is what lets the batch
-    drop them early.  Fed the whole grid, the verdict is exactly
+(** Prefix-decidable detection, for fault dropping: faulty samples on
+    the nominal grid are fed one at a time, and the verdict becomes
+    final the moment it can no longer change - for most detected faults
+    well before tstop, which is what lets a campaign stop their
+    transients early.  Fed the whole grid, the verdict is exactly
     {!first_detection}'s (including the tail flush, which only ever
     fires at the last grid index and therefore never produces a
     premature [Detected]). *)

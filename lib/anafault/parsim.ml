@@ -2,15 +2,14 @@
 
    Per-fault Newton costs vary wildly (a stuck-open fault converges far
    slower than a low-ohmic bridge), so instead of static chunking every
-   domain pulls the next chunk of fault indices from a shared atomic
-   counter.  The chunk width is the lock-step batch width: a chunk of
-   width > 1 is simulated as one batch through Simulate.run_batch, so
-   batches are the unit of work stealing.  Each domain owns one engine
-   session (sessions are single-threaded), writes results into its own
-   slots of a shared buffer, and keeps its own load counters.  A fault
+   domain pulls the next fault index from a shared atomic counter and
+   simulates it through Simulate.run_one_in, the serial loop's per-fault
+   path (fault dropping included).  Each domain owns one engine session
+   (sessions are single-threaded), writes results into its own slots of
+   a shared buffer, and keeps its own load counters.  A fault
    whose simulation raises is recorded as Sim_failed through
    Simulate.guard, so one bad fault never aborts the run; a domain that
-   dies outright (e.g. session setup fails) marks the faults it had
+   dies outright (e.g. session setup fails) marks the fault it had
    claimed with a typed failure and reports itself in [died], so the
    campaign can never silently succeed with holes. *)
 
@@ -29,7 +28,7 @@ type domain_stats = {
    deterministically. *)
 let chaos_session_failure : (int -> bool) ref = ref (fun _ -> false)
 
-let worker ~config ~circuit ~nominal ~faults ~batch ~next ~results ~journal
+let worker ~config ~circuit ~nominal ~faults ~next ~results ~journal
     ~completed ~progress ~progress_lock ~abort ~stop ~total d () =
   let obs = config.Simulate.obs in
   let t0 = Unix.gettimeofday () in
@@ -55,27 +54,28 @@ let worker ~config ~circuit ~nominal ~faults ~batch ~next ~results ~journal
         Atomic.set progress_lock false
       end
   in
-  (* The domain is dying: give every fault it claimed but did not finish
-     a typed failure (never a silent hole), count the death, and stop
-     stealing.  Unclaimed faults drain through the other domains. *)
-  let mark_died i0 hi exn =
+  (* The domain is dying: give the fault it claimed but did not finish
+     (if any) a typed failure (never a silent hole), count the death, and
+     stop stealing.  Unclaimed faults drain through the other domains. *)
+  let mark_died claimed exn =
     died := true;
     Obs.count obs "parsim.domain_died" 1;
     let detail = Printf.sprintf "domain %d died: %s" d (Printexc.to_string exn) in
-    for i = i0 to hi - 1 do
-      if results.(i) = None then begin
-        results.(i) <-
-          Some
-            {
-              Simulate.fault = faults.(i);
-              outcome = Simulate.Sim_failed (Simulate.Crashed detail);
-              attempts = [];
-              stats = Simulate.zero_stats;
-              cpu_seconds = 0.0;
-            };
-        ignore (Atomic.fetch_and_add completed 1)
-      end
-    done;
+    Option.iter
+      (fun i ->
+        if results.(i) = None then begin
+          results.(i) <-
+            Some
+              {
+                Simulate.fault = faults.(i);
+                outcome = Simulate.Sim_failed (Simulate.Crashed detail);
+                attempts = [];
+                stats = Simulate.zero_stats;
+                cpu_seconds = 0.0;
+              };
+          ignore (Atomic.fetch_and_add completed 1)
+        end)
+      claimed;
     report ()
   in
   (match
@@ -83,80 +83,59 @@ let worker ~config ~circuit ~nominal ~faults ~batch ~next ~results ~journal
        failwith "chaos: injected session-setup failure";
      Simulate.session config circuit
    with
-  | exception exn -> mark_died 0 0 exn
+  | exception exn -> mark_died None exn
   | session ->
     let sess = ref session in
-    let bw = max 1 batch in
     let cancel = config.Simulate.sim_options.Sim.Engine.cancel in
     let rec steal () =
-      (* A cancelled token stops the domain claiming new chunks; the
-         chunk in flight drains through the engine's own polls, so the
+      (* A cancelled token stops the domain claiming new faults; the
+         fault in flight drains through the engine's own polls, so the
          domain exits cleanly instead of via an abort exception. *)
       if (not (Atomic.get stop)) && not (Cancel.cancelled cancel) then begin
         let t_steal = Unix.gettimeofday () in
-        let i0 = Atomic.fetch_and_add next bw in
+        let i = Atomic.fetch_and_add next 1 in
         let dt = Unix.gettimeofday () -. t_steal in
         (* Every steal is accounted, including the final unsuccessful
            one: the scheduler's overhead does not vanish at the end of
            the list. *)
         steal_acc := !steal_acc +. dt;
         Obs.sample obs "parsim.steal_seconds" dt;
-        if i0 < n then begin
-          let hi = min n (i0 + bw) in
+        if i < n then begin
           match
             (* Journal-restored results were prefilled before the spawn
                and already counted in [completed]; skip those indices. *)
-            let todo = ref [] in
-            for i = hi - 1 downto i0 do
-              if results.(i) = None then todo := (i, faults.(i)) :: !todo
-            done;
-            let todo = !todo in
-            if todo <> [] then begin
-              let rs =
-                match todo with
-                | [ (_, fault) ] ->
-                  (* A width-1 chunk takes the serial per-fault path
-                     directly - no batch machinery in the way. *)
-                  [
-                    Simulate.guard fault (fun () ->
-                        Simulate.run_one_in config !sess ~nominal fault);
-                  ]
-                | _ -> Simulate.run_batch config !sess ~nominal (List.map snd todo)
+            if results.(i) = None then begin
+              let r =
+                Simulate.guard faults.(i) (fun () ->
+                    Simulate.run_one_in config !sess ~nominal faults.(i))
               in
-              let poisoned = ref false in
-              List.iter2
-                (fun (i, _) r ->
-                  results.(i) <- Some r;
-                  (* Cancelled results never reach the journal: resume
-                     must re-run exactly the interrupted faults. *)
-                  (match r.Simulate.outcome with
-                  | Simulate.Sim_failed (Simulate.Cancelled _) -> ()
-                  | Simulate.Sim_failed _ | Simulate.Detected _
-                  | Simulate.Undetected ->
-                    Option.iter (fun j -> Journal.record j i r) journal);
-                  (match r.Simulate.outcome with
-                  | Simulate.Sim_failed failure
-                    when Outcome.poisons_session failure ->
-                    poisoned := true
-                  | Simulate.Sim_failed _ | Simulate.Detected _
-                  | Simulate.Undetected -> ());
-                  incr ndone;
-                  indices := i :: !indices;
-                  iters := !iters + r.Simulate.stats.Sim.Engine.newton_iterations;
-                  ignore (Atomic.fetch_and_add completed 1);
-                  report ())
-                todo rs;
+              results.(i) <- Some r;
+              (* Cancelled results never reach the journal: resume must
+                 re-run exactly the interrupted faults. *)
+              (match r.Simulate.outcome with
+              | Simulate.Sim_failed (Simulate.Cancelled _) -> ()
+              | Simulate.Sim_failed _ | Simulate.Detected _ | Simulate.Undetected
+                ->
+                Option.iter (fun j -> Journal.record j i r) journal);
+              incr ndone;
+              indices := i :: !indices;
+              iters := !iters + r.Simulate.stats.Sim.Engine.newton_iterations;
+              ignore (Atomic.fetch_and_add completed 1);
+              report ();
               (* Quarantine, as in the serial loop: a kernel failure may
                  leave device state or an unfinished overlay behind, so
-                 the domain's session is rebuilt before the next chunk. *)
-              if !poisoned then begin
+                 the domain's session is rebuilt before the next fault. *)
+              match r.Simulate.outcome with
+              | Simulate.Sim_failed failure when Outcome.poisons_session failure ->
                 Obs.count obs "session.quarantine" 1;
                 sess := Simulate.session config circuit
-              end
+              | Simulate.Sim_failed _ | Simulate.Detected _ | Simulate.Undetected
+                ->
+                ()
             end
           with
           | () -> steal ()
-          | exception exn -> mark_died i0 hi exn
+          | exception exn -> mark_died (Some i) exn
         end
       end
     in
@@ -182,7 +161,7 @@ let worker ~config ~circuit ~nominal ~faults ~batch ~next ~results ~journal
     died = !died;
   }
 
-let run_with_stats ?progress ?journal ?(clamp = true) ?batch ~domains config
+let run_with_stats ?progress ?journal ?(clamp = true) ~domains config
     circuit faults =
   let domains =
     if clamp then max 1 (min domains (Domain.recommended_domain_count ()))
@@ -196,12 +175,6 @@ let run_with_stats ?progress ?journal ?(clamp = true) ?batch ~domains config
       let nominal, nominal_stats = Simulate.nominal config circuit in
       let faults_arr = Array.of_list faults in
       let n = Array.length faults_arr in
-      let batch =
-        match batch with
-        | Some b when b > 0 -> b
-        | Some _ | None ->
-          Simulate.effective_batch { config with Simulate.domains } ~total:n
-      in
       let results = Array.make n None in
       (* Prefill journal-restored results so no domain re-simulates a
          completed fault. *)
@@ -224,7 +197,7 @@ let run_with_stats ?progress ?journal ?(clamp = true) ?batch ~domains config
       let abort = Atomic.make None in
       let stop = Atomic.make false in
       let work =
-        worker ~config ~circuit ~nominal ~faults:faults_arr ~batch ~next
+        worker ~config ~circuit ~nominal ~faults:faults_arr ~next
           ~results ~journal ~completed ~progress ~progress_lock ~abort ~stop
           ~total:n
       in
@@ -237,7 +210,7 @@ let run_with_stats ?progress ?journal ?(clamp = true) ?batch ~domains config
       (match Atomic.get abort with
       | Some exn -> raise exn
       | None ->
-        (* Workers only see the counter after their own chunks; guarantee
+        (* Workers only see the counter after their own faults; guarantee
            the caller one final (total, total) call once everyone
            joined. *)
         (match progress with Some f when n > 0 -> f n n | Some _ | None -> ()));
@@ -276,23 +249,10 @@ let run_with_stats ?progress ?journal ?(clamp = true) ?batch ~domains config
         },
         List.sort (fun a b -> Int.compare a.domain b.domain) stats ))
 
-let run ?clamp ?batch ~domains config circuit faults =
-  fst (run_with_stats ?clamp ?batch ~domains config circuit faults)
+let run ?clamp ~domains config circuit faults =
+  fst (run_with_stats ?clamp ~domains config circuit faults)
 
-let execute ?progress ?journal ?clamp ?domains ?batch config circuit faults =
+let execute ?progress ?journal ?clamp ?domains config circuit faults =
   let domains = Option.value ~default:config.Simulate.domains domains in
-  let width =
-    match batch with
-    | Some b when b > 0 -> b
-    | Some _ | None ->
-      Simulate.effective_batch
-        { config with Simulate.domains }
-        ~total:(List.length faults)
-  in
-  if domains <= 1 && width <= 1 then
-    (Simulate.run ?progress ?journal config circuit faults, [])
-  else
-    (* One domain with a wider batch still goes through the worker loop:
-       domain 0 processes every chunk itself, batched. *)
-    run_with_stats ?progress ?journal ?clamp ~batch:width ~domains config
-      circuit faults
+  if domains <= 1 then (Simulate.run ?progress ?journal config circuit faults, [])
+  else run_with_stats ?progress ?journal ?clamp ~domains config circuit faults

@@ -5,13 +5,12 @@
     independent, so the same structure maps onto shared-memory domains.
     Per-fault Newton costs vary wildly (stuck-open faults converge far
     slower than low-ohmic bridges), so the fault list is not chunked
-    statically: every domain pulls the next chunk of fault indices from
-    a shared atomic counter until the list is drained.  The chunk width
-    is the lock-step batch width ({!Simulate.effective_batch}): a chunk
-    wider than one fault is simulated as a single {!Simulate.run_batch},
-    so batches are the unit of work stealing.  Each domain owns one
-    {!Sim.Engine.Session}, so the per-topology setup is paid once per
-    domain rather than once per fault.
+    statically: every domain pulls the next fault index from a shared
+    atomic counter until the list is drained, and simulates it with
+    {!Simulate.run_one_in} - the serial loop's per-fault path, fault
+    dropping included.  Each domain owns one {!Sim.Engine.Session}, so
+    the per-topology setup is paid once per domain rather than once per
+    fault.
 
     A fault whose simulation raises is reported as
     {!Simulate.Sim_failed}; the exception never escapes the domain, and
@@ -20,7 +19,7 @@
     per-fault budgets, session quarantine after kernel failures, and
     journal skip/record when a {!Journal.t} is supplied.  A domain that
     dies outright (e.g. its session setup fails) records a typed
-    [Crashed] failure for every fault it had claimed, is counted as
+    [Crashed] failure for the fault it had claimed, is counted as
     ["parsim.domain_died"], and reports itself through
     {!domain_stats.died} - a campaign can never silently succeed with
     holes. *)
@@ -34,12 +33,12 @@ type domain_stats = {
   newton_iterations : int;
   busy_seconds : float;  (** wall-clock time the domain spent stealing *)
   steal_seconds : float;
-      (** wall-clock time spent pulling chunks off the shared counter,
+      (** wall-clock time spent pulling faults off the shared counter,
           including the final unsuccessful steal that ends the domain's
           loop - the scheduler's overhead, normally microseconds *)
   died : bool;
       (** the domain aborted (setup failure or an unclassifiable error
-          mid-chunk); its claimed faults carry typed failures, and the
+          mid-fault); its claimed fault carries a typed failure, and the
           CLI turns any died domain into a nonzero exit *)
 }
 
@@ -54,9 +53,8 @@ val chaos_session_failure : (int -> bool) ref
     domain index.  With [clamp] (the default) the domain count is
     limited to [Domain.recommended_domain_count]; [~clamp:false] takes
     the request literally, which oversubscribes small machines but keeps
-    scheduling behaviour reproducible.  [batch] overrides the lock-step
-    chunk width (default: {!Simulate.effective_batch} at the effective
-    domain count).  Results keep the input fault order.
+    scheduling behaviour reproducible.  Results keep the input fault
+    order.
 
     [progress] is called with (completed, total): every domain bumps a
     shared atomic completed-counter and any domain may fire the callback
@@ -72,7 +70,6 @@ val run_with_stats :
   ?progress:(int -> int -> unit) ->
   ?journal:Journal.t ->
   ?clamp:bool ->
-  ?batch:int ->
   domains:int ->
   Simulate.config ->
   Netlist.Circuit.t ->
@@ -83,7 +80,6 @@ val run_with_stats :
     load report. *)
 val run :
   ?clamp:bool ->
-  ?batch:int ->
   domains:int ->
   Simulate.config ->
   Netlist.Circuit.t ->
@@ -92,19 +88,15 @@ val run :
 
 (** [execute config circuit faults] is the single dispatch point every
     front end uses: serial {!Simulate.run} (with an empty load report)
-    when both the effective domain count and the effective batch width
-    are 1, {!run_with_stats} otherwise (a single domain with a wider
-    batch runs the batched loop on the caller's domain).  The domain
-    count comes from [config.domains] unless overridden by [?domains];
-    the batch width from [config.batch] / {!Simulate.effective_batch}
-    unless overridden by [?batch].  [?progress] and [?journal] apply to
-    both paths. *)
+    for one domain, {!run_with_stats} otherwise.  The domain count comes
+    from [config.domains] unless overridden by [?domains].  [?progress]
+    and [?journal] apply to both paths; both simulate each fault with
+    {!Simulate.run_one_in}, so their results are identical. *)
 val execute :
   ?progress:(int -> int -> unit) ->
   ?journal:Journal.t ->
   ?clamp:bool ->
   ?domains:int ->
-  ?batch:int ->
   Simulate.config ->
   Netlist.Circuit.t ->
   Faults.Fault.t list ->

@@ -7,7 +7,6 @@ type config = {
   retries : Outcome.strategy list;
   samples : int;
   domains : int;
-  batch : int;  (* lock-step batch width; 0 = auto *)
   obs : Obs.sink;
 }
 
@@ -15,7 +14,7 @@ let default_config ?(model = Faults.Inject.Source)
     ?(tolerance = Detect.paper_tolerance)
     ?(sim_options = Sim.Engine.default_options)
     ?(retries = [ Outcome.Swap_model ]) ?(samples = 400) ?(domains = 1)
-    ?(batch = 0) ?(obs = Obs.null) ~tran ~observed () =
+    ?(obs = Obs.null) ~tran ~observed () =
   {
     model;
     tran;
@@ -25,18 +24,8 @@ let default_config ?(model = Faults.Inject.Source)
     retries;
     samples;
     domains;
-    batch;
     obs;
   }
-
-(* Resolve the lock-step batch width.  Explicit [batch] wins; the auto
-   rule keeps at least four batches per domain in flight so work
-   stealing still balances, and clamps at 16 where the crossover
-   experiment shows the shared-pattern benefit saturating.  Small
-   campaigns resolve to width 1 - the exact serial path. *)
-let effective_batch config ~total =
-  if config.batch > 0 then config.batch
-  else max 1 (min 16 (total / (max 1 config.domains * 4)))
 
 (* SPICE habit: the last non-ground node of the deck is the output. *)
 let default_observed circuit =
@@ -229,8 +218,9 @@ let fault_span config fault f =
       result)
 
 (* The rebuild-per-fault cycle: every fault pays Mna.make + compile +
-   fresh buffers.  Kept as the reference path (and for callers holding
-   only a circuit); the batch loop below goes through a session. *)
+   fresh buffers and a full transient.  Kept as the reference path (and
+   for callers holding only a circuit); campaigns go through a session
+   and [run_one_in]. *)
 let run_one_core config circuit ~nominal ~sp fault =
   let t0 = Sys.time () in
   let finish ~attempts outcome stats =
@@ -248,9 +238,43 @@ let run_one config circuit ~nominal fault =
       Obs.set sp "path" (Obs.Str "rebuild");
       run_one_core config circuit ~nominal ~sp fault)
 
-(* The batch cycle: patch the session with the injected devices, simulate
-   in the shared buffers, compare.  Node maps and solver storage are
-   shared across the whole fault list. *)
+(* Fault dropping: a probe feeds the faulty transient's observed signal
+   at every nominal grid instant to an incremental detector and stops the
+   run once the verdict is final, so a detected fault pays only the
+   prefix of the transient its detection needs.  [None] when the nominal
+   reference cannot seed a detector; the full-waveform comparison then
+   classifies the run.  A non-finite sample ends probing but not the
+   run: [Detect.analyse] reports the poison as a typed failure. *)
+let drop_probe config ~nominal =
+  let grid = Sim.Waveform.times nominal in
+  match Sim.Waveform.samples nominal config.observed with
+  | exception Not_found -> None
+  | nom -> begin
+    match Detect.Incremental.create ~tolerance:config.tolerance ~times:grid ~nom with
+    | Error _ -> None
+    | Ok det ->
+      let detected = ref None and live = ref true in
+      let check _ value =
+        if not !live then `Continue
+        else if not (Float.is_finite value) then begin
+          live := false;
+          `Continue
+        end
+        else begin
+          match Detect.Incremental.feed det value with
+          | Detect.Incremental.Pending | Detect.Incremental.Clear -> `Continue
+          | Detect.Incremental.Detected i ->
+            detected := Some grid.(i);
+            `Stop
+        end
+      in
+      Some ({ Sim.Engine.signal = config.observed; grid; check }, detected)
+  end
+
+(* The campaign cycle: patch the session with the injected devices,
+   simulate in the shared buffers until the verdict is final, compare.
+   Node maps and solver storage are shared across the whole fault list;
+   every rung of the retry ladder gets its own detector. *)
 let run_one_in config sess ~nominal fault =
   fault_span config fault (fun sp ->
       let t0 = Sys.time () in
@@ -260,11 +284,20 @@ let run_one_in config sess ~nominal fault =
       let base = Sim.Engine.Session.circuit sess in
       let attempt cfg =
         let faulty_circuit = Faults.Inject.apply ~model:cfg.model base fault in
-        let faulty, stats =
+        let drop = drop_probe config ~nominal in
+        let { Netlist.Parser.tstep; tstop; uic } = cfg.tran in
+        let wf, stats =
           Sim.Engine.Session.with_patch sess faulty_circuit (fun s ->
-              simulate_session ~options:cfg.sim_options cfg s)
+              Sim.Engine.Session.transient ~options:cfg.sim_options
+                ?probe:(Option.map fst drop) s ~tstep ~tstop ~uic)
         in
-        (detect_outcome config ~nominal ~faulty, stats)
+        match Option.bind drop (fun (_, detected) -> !detected) with
+        | Some t ->
+          Obs.count config.obs "anafault.early_stop" 1;
+          (Detected t, stats)
+        | None ->
+          let faulty = Sim.Waveform.resample wf ~n:cfg.samples in
+          (detect_outcome config ~nominal ~faulty, stats)
       in
       match
         Obs.set sp "path" (Obs.Str "session");
@@ -289,141 +322,6 @@ let guard fault thunk =
       stats = zero_stats;
       cpu_seconds = 0.0;
     }
-
-(* --- The lock-step batched cycle --------------------------------------- *)
-
-(* [run_batch config sess ~nominal faults] simulates the whole list in
-   one lock-step batch on [sess]: every variant is patched into the
-   session, the sparse pattern is primed once, and all variants advance
-   together through the nominal grid.  An {!Detect.Incremental} detector
-   per variant retires ("drops") a fault the moment its verdict is
-   final, so a hard fault pays only the prefix of the transient it needs
-   to be detected.  Variants that run to tstop are post-processed with
-   exactly the serial path's resample + compare, so their recorded
-   outcomes are bit-identical to [run_one_in]'s; dropped variants read
-   the observed signal straight off the accepted samples (one
-   interpolation instead of the serial path's resample-then-interpolate
-   two), which agrees to rounding error and quantizes to the same grid
-   instant.  Any variant the batch cannot carry - patch overflow, its
-   own solve failing (the retry ladder may still rescue it), an
-   injection error - falls back to the serial per-fault path on the same
-   session, preserving the ladder and outcome taxonomy exactly.
-   Results come back in input order. *)
-let run_batch config sess ~nominal faults =
-  let fallback fault = guard fault (fun () -> run_one_in config sess ~nominal fault) in
-  let batch_core faults =
-    let base = Sim.Engine.Session.circuit sess in
-    let grid = Sim.Waveform.times nominal in
-    match Sim.Waveform.samples nominal config.observed with
-    | exception Not_found -> List.map fallback faults
-    | nom -> begin
-      let items = Array.of_list faults in
-      let n_items = Array.length items in
-      let results : fault_result option array = Array.make n_items None in
-      (* Injection happens up front; a fault that cannot be injected (or
-         whose detector cannot be built) takes the serial path, which
-         reproduces the ladder's classification verbatim. *)
-      let variant_idx = ref [] in
-      let circuits = ref [] in
-      let detectors = ref [] in
-      Array.iteri
-        (fun i fault ->
-          match Faults.Inject.apply ~model:config.model base fault with
-          | exception Not_found -> results.(i) <- Some (fallback fault)
-          | circuit -> begin
-            match
-              Detect.Incremental.create ~tolerance:config.tolerance
-                ~times:grid ~nom
-            with
-            | Error _ -> results.(i) <- Some (fallback fault)
-            | Ok det ->
-              variant_idx := i :: !variant_idx;
-              circuits := circuit :: !circuits;
-              detectors := det :: !detectors
-          end)
-        items;
-      let variant_idx = Array.of_list (List.rev !variant_idx) in
-      let variants = Array.of_list (List.rev !circuits) in
-      let dets = Array.of_list (List.rev !detectors) in
-      let drop_at = Array.make (Array.length variants) (-1) in
-      (* The incremental detector's threshold comparisons are silently
-         false on NaN, so a diverged variant could walk the whole grid
-         and tabulate as undetected.  A non-finite sample retires the
-         variant to the serial path, whose [Detect.analyse] reports the
-         poison as a typed failure. *)
-      let non_finite = Array.make (Array.length variants) false in
-      let probe ~variant ~grid_index:_ ~value =
-        if not (Float.is_finite value) then begin
-          non_finite.(variant) <- true;
-          `Drop
-        end
-        else begin
-          match Detect.Incremental.feed dets.(variant) value with
-          | Detect.Incremental.Pending | Detect.Incremental.Clear -> `Continue
-          | Detect.Incremental.Detected i ->
-            drop_at.(variant) <- i;
-            `Drop
-        end
-      in
-      (if Array.length variants > 0 then begin
-         let { Netlist.Parser.tstep; tstop; uic } = config.tran in
-         let bres =
-           Sim.Engine.Session.transient_batch ~options:config.sim_options sess
-             ~variants ~observe:config.observed ~grid ~tstep ~tstop ~uic ~probe
-         in
-         Array.iteri
-           (fun v { Sim.Engine.Session.outcome; seconds } ->
-             let i = variant_idx.(v) in
-             let fault = items.(i) in
-             let settle outcome stats =
-               fault_span config fault (fun sp ->
-                   Obs.set sp "path" (Obs.Str "batch");
-                   {
-                     fault;
-                     outcome;
-                     attempts =
-                       [ { strategy = Outcome.Baseline; failure = None } ];
-                     stats;
-                     cpu_seconds = seconds;
-                   })
-             in
-             match outcome with
-             | Sim.Engine.Session.Batch_finished (wf, stats) ->
-               let faulty = Sim.Waveform.resample wf ~n:config.samples in
-               results.(i) <- Some (settle (detect_outcome config ~nominal ~faulty) stats)
-             | Sim.Engine.Session.Batch_dropped { stats; _ } ->
-               if non_finite.(v) then
-                 (* Dropped for poison, not detection: the serial rerun
-                    classifies it (Detect.analyse's finiteness guard). *)
-                 results.(i) <- Some (fallback fault)
-               else begin
-                 Obs.count config.obs "batch.drops" 1;
-                 results.(i) <- Some (settle (Detected grid.(drop_at.(v))) stats)
-               end
-             | Sim.Engine.Session.Batch_failed _
-             | Sim.Engine.Session.Batch_overflow _ ->
-               results.(i) <- Some (fallback fault))
-           bres
-       end);
-      Array.to_list
-        (Array.mapi
-           (fun i r ->
-             match r with Some r -> r | None -> fallback items.(i))
-           results)
-    end
-  in
-  match faults with
-  | [] -> []
-  | [ fault ] -> [ fallback fault ]
-  | faults -> begin
-    (* A failure of the batch machinery itself must not take the whole
-       chunk down: retire to the per-fault serial path. *)
-    match batch_core faults with
-    | results -> results
-    | exception _ ->
-      Obs.count config.obs "batch.fallback" 1;
-      List.map fallback faults
-  end
 
 (* --- Campaign fingerprint --------------------------------------------- *)
 

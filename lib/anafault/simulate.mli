@@ -2,9 +2,12 @@
     simulation per fault with result comparison (the paper's repetitive
     preprocessing / kernel / post-processing cycle).
 
-    The loop is batch-shaped: one {!Sim.Engine.Session} carries the node
-    map and solver buffers across the whole fault list, and each fault is
-    a patch-simulate-compare cycle against it.  Per-fault robustness is
+    One {!Sim.Engine.Session} carries the node map and solver buffers
+    across the whole fault list, and each fault is a patch-simulate-
+    compare cycle against it.  Fault dropping makes the cycle cheap: the
+    faulty transient stops as soon as its detection verdict is final
+    ({!Detect.Incremental}), so a detected fault pays only the prefix of
+    the run its detection needs.  Per-fault robustness is
     layered: a typed failure taxonomy ({!Outcome.failure}), a work budget
     ({!Sim.Engine.budget}, applied per fault - the nominal run is always
     unbudgeted), a configurable retry ladder ([retries]), session
@@ -12,10 +15,10 @@
     {!Journal} for resumable campaigns.
 
     This module is the engine room.  Front ends should not call
-    [run_one]/[run_one_in]/[run_batch]/[run] directly any more: describe
-    the campaign as a {!Campaign.spec} and execute it with
+    [run_one]/[run_one_in]/[run] directly any more: describe the
+    campaign as a {!Campaign.spec} and execute it with
     {!Campaign.run_local} (or submit it to a running [anafaultd]) - one
-    typed entry point instead of four ad-hoc ones.  The migration guide
+    typed entry point instead of three ad-hoc ones.  The migration guide
     lives in DESIGN.md. *)
 
 (** The single place a fault-simulation run is described: fault model,
@@ -37,11 +40,6 @@ type config = {
           baseline config independently *)
   samples : int;  (** output grid size (the paper uses a 400-step run) *)
   domains : int;  (** scheduler width for {!Parsim.execute}; 1 = serial *)
-  batch : int;
-      (** lock-step batch width for {!run_batch}: how many faulty
-          variants advance together through one shared time grid.  0
-          (the default) resolves automatically via {!effective_batch};
-          1 forces the exact per-fault serial path *)
   obs : Obs.sink;  (** telemetry sink threaded through the kernel, the
                        sessions and the per-fault loop *)
 }
@@ -65,19 +63,11 @@ val default_config :
   ?retries:Outcome.strategy list ->
   ?samples:int ->
   ?domains:int ->
-  ?batch:int ->
   ?obs:Obs.sink ->
   tran:Netlist.Parser.tran ->
   observed:string ->
   unit ->
   config
-
-(** The lock-step batch width actually used for a campaign of [total]
-    faults: an explicit [config.batch] verbatim, otherwise an automatic
-    width that keeps at least four batches per domain available for work
-    stealing, clamps at 16, and degenerates to 1 (the exact serial path)
-    for small campaigns. *)
-val effective_batch : config -> total:int -> int
 
 (** The last non-ground node of the circuit - by SPICE habit the
     output - for callers that let the observed node default. *)
@@ -142,12 +132,13 @@ val nominal : config -> Netlist.Circuit.t -> Sim.Waveform.t * Sim.Engine.stats
 
 (** [session config circuit] opens an engine session on the nominal
     circuit with the config's simulator options and telemetry sink -
-    the shared state for a batch of {!run_one_in} calls. *)
+    the shared state for a campaign's {!run_one_in} calls. *)
 val session : config -> Netlist.Circuit.t -> Sim.Engine.Session.t
 
 (** [run_one config circuit ~nominal fault] injects, simulates and
-    compares one fault, rebuilding all engine state from scratch (the
-    pre-session reference path).  Runs the retry ladder; emits one
+    compares one fault, rebuilding all engine state from scratch and
+    running the whole transient (the reference path, without fault
+    dropping).  Runs the retry ladder; emits one
     ["anafault.fault"] span tagged with the fault, its outcome, failure
     class, attempt count and winning strategy. *)
 val run_one :
@@ -156,6 +147,13 @@ val run_one :
 (** [run_one_in config session ~nominal fault] is {!run_one} through the
     shared session: the fault is applied as a device patch, simulated in
     the session's buffers, and the nominal view is restored afterwards.
+    On every rung of the retry ladder the transient is probed at each
+    [nominal] grid instant and stops the moment its
+    {!Detect.Incremental} verdict is [Detected] (counted as
+    ["anafault.early_stop"]); the fault is then reported detected at
+    that grid instant.  A run that is not stopped is compared exactly as
+    {!run_one} compares it, and a non-finite observed sample ends the
+    probing so that {!Detect.analyse} classifies the poisoned run.
     Falls back to the rebuild path if the injection exceeds the
     session's patch capacity (counted as ["session.rebuild"]). *)
 val run_one_in :
@@ -167,33 +165,8 @@ val run_one_in :
 
 (** [guard fault thunk] isolates a per-fault failure: any exception the
     simulation paths do not already map becomes a
-    [Sim_failed (Crashed _)] result instead of aborting the batch. *)
+    [Sim_failed (Crashed _)] result instead of aborting the campaign. *)
 val guard : Faults.Fault.t -> (unit -> fault_result) -> fault_result
-
-(** [run_batch config session ~nominal faults] simulates the whole list
-    as one lock-step batch on [session]
-    ({!Sim.Engine.Session.transient_batch}): all variants share the
-    session buffers and one sparse symbolic pattern, advance together
-    through the nominal output grid, and each is dropped (counted as
-    ["batch.drops"]) the moment its {!Detect.Incremental} verdict is
-    final - a detected fault pays only the transient prefix needed to
-    detect it.  Variants that run to tstop are compared exactly like
-    {!run_one_in}, so their outcomes are bit-identical to the serial
-    path; dropped variants report detection at the same grid instant the
-    serial comparison finds (the observed values differ only by a
-    rounding-level interpolation difference).  Faults the batch cannot
-    carry - injection errors, patch overflow, kernel failures (which may
-    still be rescued by the retry ladder) - fall back to {!run_one_in}
-    individually; a failure of the batch machinery itself retires the
-    whole list to the serial path (counted as ["batch.fallback"]).
-    Results are returned in input order; every fault gets the usual
-    ["anafault.fault"] span.  A width-1 batch {e is} the serial path. *)
-val run_batch :
-  config ->
-  Sim.Engine.Session.t ->
-  nominal:Sim.Waveform.t ->
-  Faults.Fault.t list ->
-  fault_result list
 
 (** [fingerprint config circuit faults] is the campaign identity a
     {!Journal} is keyed by: a digest over the printed circuit deck,

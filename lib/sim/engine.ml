@@ -532,13 +532,9 @@ let breakpoints circuit ~tstop =
   |> List.filter (fun t -> t > 0.0 && t < tstop)
   |> List.sort_uniq compare
 
-(* One in-flight adaptive transient, reified: the loop state of the
-   former inline transient loop as a record, so a caller can advance it
-   step by step.  [transient_core] drives one stepper to completion;
-   [Session.transient_batch] interleaves many of them through a shared
-   checkpoint grid.  The float operations and their order are exactly
-   those of the old inline loop, so reifying the state changes no
-   result. *)
+(* One in-flight adaptive transient: the loop state as a record, so
+   [transient_core] can pause it at a probe's checkpoints and read the
+   observed signal without changing which steps are taken. *)
 type stepper = {
   sctx : ctx;
   tstop : float;
@@ -638,7 +634,7 @@ let stepper_check_budget st =
    breakpoint at or behind [t] (several source edges can pile up inside
    one accepted step), propose a step clipped to the first future
    breakpoint and to tstop, solve, accept or reject.  Raises [Sim_error]
-   on budget trips and step underflow exactly as the inline loop did. *)
+   on budget trips and step underflow. *)
 let stepper_step st =
   let ctx = st.sctx in
   let opts = ctx.opts in
@@ -706,23 +702,60 @@ let stepper_value st idx tau =
       bracket tn vn older
     end
 
-let transient_core ctx ~circuit ~names ~tstep ~tstop ~uic =
+type probe = {
+  signal : string;
+  grid : float array;
+  check : int -> float -> [ `Continue | `Stop ];
+}
+
+let signal_index names signal =
+  let rec find i =
+    if i >= Array.length names then raise Not_found
+    else if String.equal names.(i) signal then i
+    else find (i + 1)
+  in
+  find 0
+
+(* The one transient loop.  A probe pauses it at each checkpoint of its
+   grid, once the accepted steps have reached that time, and may end the
+   run there; pausing only reads the sample history, so the steps taken
+   are those of an unprobed run. *)
+let transient_core ?probe ctx ~circuit ~tstep ~tstop ~uic =
+  let watch = Option.map (fun p -> (p, signal_index ctx.names p.signal)) probe in
   let st = stepper_start ctx ~circuit ~tstep ~tstop ~uic in
   Fun.protect ~finally:(fun () -> stepper_emit_counters st)
   @@ fun () ->
-  while not (stepper_done st) do
-    stepper_step st
-  done;
-  (Waveform.make ~names ~samples:(List.rev st.samples), stepper_stats st)
+  let advance_to tau =
+    while (not (stepper_done st)) && st.t < tau do
+      stepper_step st
+    done
+  in
+  let stopped =
+    match watch with
+    | None -> false
+    | Some (p, idx) ->
+      let rec walk gi =
+        gi < Array.length p.grid
+        &&
+        let tau = p.grid.(gi) in
+        advance_to tau;
+        match p.check gi (stepper_value st idx tau) with
+        | `Stop -> true
+        | `Continue -> walk (gi + 1)
+      in
+      walk 0
+  in
+  if not stopped then advance_to Float.infinity;
+  (Waveform.make ~names:ctx.names ~samples:(List.rev st.samples), stepper_stats st)
 
 let transient_impl ~opts ~obs circuit ~tstep ~tstop ~uic =
-  let ctx, mna = ctx_of_circuit ~opts ~obs circuit in
-  transient_core ctx ~circuit ~names:(output_names mna) ~tstep ~tstop ~uic
+  let ctx, _ = ctx_of_circuit ~opts ~obs circuit in
+  transient_core ctx ~circuit ~tstep ~tstop ~uic
 
-(* --- Sessions: batch solving of one circuit topology ------------------ *)
+(* --- Sessions: one circuit topology, many solves ---------------------- *)
 
 (* One fault differs from the nominal circuit by a device or two, so the
-   batch loop keeps the node map, the compiled device array and the
+   campaign loop keeps the node map, the compiled device array and the
    solver buffers alive across the whole fault list and re-derives only
    what a patch touches.  The buffers reserve two overlay rows - fault
    injection adds at most one node (a split-net open) and one branch (a
@@ -734,50 +767,51 @@ module Session = struct
      at [base_size + 1]. *)
   let reserve = 2
 
+  (* The circuit a solve sees: the base circuit or a compiled patch. *)
+  type view = {
+    pv_circuit : Netlist.Circuit.t;
+    pv_devices : cdev array;
+    pv_size : int;
+    pv_extra_node : int option;
+    pv_names : string array;
+  }
+
   type t = {
     opts : options;
     obs : Obs.sink;
-    circuit : Netlist.Circuit.t;
     mna : Mna.t;
-    base_devices : cdev array;
-    base_size : int;
+    base : view;
     base_node_count : int;
-    base_names : string array;
     (* The solver spans the base system plus the overlay reserve; on the
        sparse backend every fault patch stamps into the same accumulated
        pattern, so the whole fault list shares one symbolic analysis. *)
     sv : Solver.t;
-    (* Active view, swapped by [with_patch]. *)
-    mutable act_circuit : Netlist.Circuit.t;
-    mutable act_devices : cdev array;
-    mutable act_size : int;
-    mutable act_extra_node : int option;
-    mutable act_names : string array;
+    mutable active : view;  (* swapped by [with_patch] *)
   }
 
   let create ?(options = default_options) ?(obs = Obs.null) circuit =
     let mna = Mna.make circuit in
     let base_size = Mna.size mna in
-    let base_devices = compile mna circuit in
-    let base_names = output_names mna in
+    let base =
+      {
+        pv_circuit = circuit;
+        pv_devices = compile mna circuit;
+        pv_size = base_size;
+        pv_extra_node = None;
+        pv_names = output_names mna;
+      }
+    in
     {
       opts = options;
       obs;
-      circuit;
       mna;
-      base_devices;
-      base_size;
+      base;
       base_node_count = Mna.node_count mna;
-      base_names;
       sv = Solver.create options.solver ~capacity:(base_size + reserve);
-      act_circuit = circuit;
-      act_devices = base_devices;
-      act_size = base_size;
-      act_extra_node = None;
-      act_names = base_names;
+      active = base;
     }
 
-  let circuit s = s.circuit
+  let circuit s = s.base.pv_circuit
 
   let options s = s.opts
 
@@ -785,12 +819,12 @@ module Session = struct
     {
       opts = Option.value ~default:s.opts options;
       sv = s.sv;
-      size = s.act_size;
+      size = s.active.pv_size;
       node_count = s.base_node_count;
-      extra_node = s.act_extra_node;
-      devices = s.act_devices;
+      extra_node = s.active.pv_extra_node;
+      devices = s.active.pv_devices;
       obs = s.obs;
-      names = s.act_names;
+      names = s.active.pv_names;
     }
 
   (* [?options] overrides the session's solver options for this one
@@ -799,20 +833,9 @@ module Session = struct
      tolerances without rebuilding the session. *)
   let solve_dc ?options s = { mna = s.mna; v = dc_solve (ctx ?options s) }
 
-  let transient ?options s ~tstep ~tstop ~uic =
-    transient_core (ctx ?options s) ~circuit:s.act_circuit ~names:s.act_names
-      ~tstep ~tstop ~uic
-
-  (* A compiled patch: everything [with_patch] swaps into the active
-     view, reified as a value so the batched transient can hold many
-     patched variants alive at once without toggling the view. *)
-  type patch_view = {
-    pv_circuit : Netlist.Circuit.t;
-    pv_devices : cdev array;
-    pv_size : int;
-    pv_extra_node : int option;
-    pv_names : string array;
-  }
+  let transient ?options ?probe s ~tstep ~tstop ~uic =
+    transient_core ?probe (ctx ?options s) ~circuit:s.active.pv_circuit ~tstep
+      ~tstop ~uic
 
   (* Recompile only what [patched] changed relative to the base circuit.
      Fault injection rewrites circuits with Circuit.replace (same name,
@@ -821,12 +844,13 @@ module Session = struct
      compiled form.  Anything structurally different raises
      Patch_overflow and the caller falls back to a full rebuild. *)
   let compile_patch s patched =
+    let base_size = s.base.pv_size in
     (* Overlay rows are allocated in order of first use, so a patch that
        adds only a node (break/split) or only a branch (bridging V
        source) costs exactly one extra row - the same system size a full
        rebuild would produce. *)
     let extra_node = ref None and extra_branch = ref None in
-    let next_row = ref s.base_size in
+    let next_row = ref base_size in
     let alloc_row () =
       let row = !next_row in
       incr next_row;
@@ -841,7 +865,7 @@ module Session = struct
         | Some _ -> raise (Patch_overflow ("second new node " ^ name))
         | None ->
           let row = alloc_row () in
-          if row >= s.base_size + reserve then
+          if row >= base_size + reserve then
             raise (Patch_overflow ("new node " ^ name ^ " exceeds overlay"));
           extra_node := Some (name, row);
           row
@@ -856,7 +880,7 @@ module Session = struct
         | Some _ -> raise (Patch_overflow ("second new branch " ^ name))
         | None ->
           let row = alloc_row () in
-          if row >= s.base_size + reserve then
+          if row >= base_size + reserve then
             raise (Patch_overflow ("new branch " ^ name ^ " exceeds overlay"));
           extra_branch := Some (name, row);
           row
@@ -869,7 +893,7 @@ module Session = struct
       | _ :: _, [] -> raise (Patch_overflow "patch removed a device")
       | b :: bs, p :: ps ->
         let cd =
-          if b == p then s.base_devices.(i)
+          if b == p then s.base.pv_devices.(i)
           else if String.equal (Netlist.Device.name b) (Netlist.Device.name p)
           then compile_device ~nid ~bid p
           else raise (Patch_overflow "patch reordered devices")
@@ -879,7 +903,7 @@ module Session = struct
     let compiled =
       match
         zip 0
-          (Netlist.Circuit.devices s.circuit)
+          (Netlist.Circuit.devices s.base.pv_circuit)
           (Netlist.Circuit.devices patched)
           []
       with
@@ -892,7 +916,7 @@ module Session = struct
     if Obs.enabled s.obs then begin
       Obs.count s.obs "session.patch" 1;
       Obs.sample s.obs "session.overlay_rows"
-        (float_of_int (!next_row - s.base_size))
+        (float_of_int (!next_row - base_size))
     end;
     let row_name = function
       | None -> []
@@ -910,210 +934,12 @@ module Session = struct
       pv_devices = Array.of_list compiled;
       pv_size = !next_row;
       pv_extra_node = Option.map snd !extra_node;
-      pv_names = Array.append s.base_names (Array.of_list extra_names);
-    }
-
-  let apply_view s pv =
-    s.act_circuit <- pv.pv_circuit;
-    s.act_devices <- pv.pv_devices;
-    s.act_size <- pv.pv_size;
-    s.act_extra_node <- pv.pv_extra_node;
-    s.act_names <- pv.pv_names
-
-  let base_view s =
-    {
-      pv_circuit = s.circuit;
-      pv_devices = s.base_devices;
-      pv_size = s.base_size;
-      pv_extra_node = None;
-      pv_names = s.base_names;
+      pv_names = Array.append s.base.pv_names (Array.of_list extra_names);
     }
 
   let with_patch s patched f =
-    let pv = compile_patch s patched in
-    apply_view s pv;
-    Fun.protect ~finally:(fun () -> apply_view s (base_view s)) (fun () -> f s)
-
-  (* --- Lock-step batched transient ----------------------------------- *)
-
-  (* Compiled patches share untouched devices with the base array by
-     physical equality, including their mutable integration state; a
-     batch interleaves many transients, so every variant gets private
-     state records (values are copied, so a clone taken after DC carries
-     the operating point forward exactly like the serial path). *)
-  let clone_state st = { q = st.q; f = st.f }
-
-  let clone_cdev = function
-    | CC r -> CC { r with st = clone_state r.st }
-    | CL r -> CL { r with st = clone_state r.st }
-    | CM r -> CM { r with st_gs = clone_state r.st_gs; st_gd = clone_state r.st_gd }
-    | (CR _ | CV _ | CI _ | CD _) as d -> d
-
-  let ctx_of_view ?options s pv =
-    {
-      opts = Option.value ~default:s.opts options;
-      sv = s.sv;
-      size = pv.pv_size;
-      node_count = s.base_node_count;
-      extra_node = pv.pv_extra_node;
-      devices = Array.map clone_cdev pv.pv_devices;
-      obs = s.obs;
-      names = pv.pv_names;
-    }
-
-  (* How one variant of a batched transient ended. *)
-  type batch_outcome =
-    | Batch_finished of Waveform.t * stats
-        (** ran to [tstop]; the waveform holds every accepted sample *)
-    | Batch_dropped of { grid_index : int; stats : stats }
-        (** the probe returned [`Drop] at this checkpoint - the variant
-            was retired early, its detection already final *)
-    | Batch_failed of { error : error; detail : string; stats : stats }
-        (** the variant's own solve failed ({!Sim_error} payload) *)
-    | Batch_overflow of string
-        (** the patch exceeded the overlay reserve; the caller must fall
-            back to a full per-fault rebuild *)
-
-  type batch_result = { outcome : batch_outcome; seconds : float }
-
-  (* Per-variant bookkeeping of the lock-step loop. *)
-  type bvar = {
-    mutable bst : stepper option;  (* None until started / after settle *)
-    mutable bctx : ctx option;  (* None when the patch overflowed *)
-    mutable bsettled : batch_outcome option;
-    mutable bsecs : float;
-  }
-
-  let transient_batch ?options s ~variants ~observe ~grid ~tstep ~tstop ~uic
-      ~probe =
-    let opts = Option.value ~default:s.opts options in
-    let obs_idx =
-      let n = Array.length s.base_names in
-      let rec find i =
-        if i >= n then
-          invalid_arg
-            ("Engine.Session.transient_batch: unknown observed signal " ^ observe)
-        else if String.equal s.base_names.(i) observe then i
-        else find (i + 1)
-      in
-      find 0
-    in
-    let bvars =
-      Array.map
-        (fun circuit ->
-          match compile_patch s circuit with
-          | pv ->
-            {
-              bst = None;
-              bctx = Some (ctx_of_view ~options:opts s pv);
-              bsettled = None;
-              bsecs = 0.0;
-            }
-          | exception Patch_overflow msg ->
-            { bst = None; bctx = None; bsettled = Some (Batch_overflow msg); bsecs = 0.0 })
-        variants
-    in
-    (* One symbolic pass for the whole batch: stamp every variant's
-       pattern (values discarded) before any solve, so the sparse
-       backend compiles the union pattern once instead of decompiling on
-       each variant's first stamp.  Transient stamps are a superset of
-       DC stamps, so priming in Tran mode covers every solve that
-       follows. *)
-    Solver.prime s.sv
-      (Array.to_list bvars
-      |> List.filter_map (fun bv ->
-             Option.map
-               (fun ctx () ->
-                 let zeros = Array.make ctx.size 0.0 in
-                 let mode = Tran { h = tstep; time = 0.0; vnode_prev = zeros } in
-                 stamp ~opts ~gmin:opts.gmin ~mode ~n:ctx.size s.sv ctx.devices
-                   zeros;
-                 add_gmin_and_cmin ~gmin:opts.gmin ~mode ctx)
-               bv.bctx));
-    let settle bv st outcome =
-      stepper_emit_counters st;
-      bv.bst <- None;
-      bv.bsettled <- Some outcome
-    in
-    (* DC operating point + initial state, per variant, in batch order -
-       the same solves the serial path performs, against the shared
-       (already primed) solver. *)
-    Array.iteri
-      (fun vi bv ->
-        match bv.bctx with
-        | None -> ()
-        | Some ctx -> begin
-          let t0 = Obs.Clock.now () in
-          (match stepper_start ctx ~circuit:variants.(vi) ~tstep ~tstop ~uic with
-          | st -> bv.bst <- Some st
-          | exception Sim_error (error, detail) ->
-            bv.bsettled <-
-              Some
-                (Batch_failed
-                   {
-                     error;
-                     detail;
-                     stats =
-                       { newton_iterations = 0; accepted_steps = 0; rejected_steps = 0 };
-                   }));
-          bv.bsecs <- bv.bsecs +. (Obs.Clock.now () -. t0)
-        end)
-      bvars;
-    (* The lock-step grid walk: advance every live variant to the next
-       checkpoint, read the observed signal with the same interpolation
-       {!Waveform.resample} would apply, and let the probe retire
-       variants whose fate is already decided. *)
-    let ngrid = Array.length grid in
-    for gi = 0 to ngrid - 1 do
-      let tau = grid.(gi) in
-      Array.iteri
-        (fun vi bv ->
-          match bv.bst with
-          | None -> ()
-          | Some st -> begin
-            let t0 = Obs.Clock.now () in
-            (try
-               while (not (stepper_done st)) && st.t < tau do
-                 stepper_step st
-               done;
-               let value = stepper_value st obs_idx tau in
-               match probe ~variant:vi ~grid_index:gi ~value with
-               | `Continue ->
-                 if gi = ngrid - 1 then
-                   settle bv st
-                     (Batch_finished
-                        ( Waveform.make ~names:st.sctx.names
-                            ~samples:(List.rev st.samples),
-                          stepper_stats st ))
-               | `Drop ->
-                 settle bv st (Batch_dropped { grid_index = gi; stats = stepper_stats st })
-             with Sim_error (error, detail) ->
-               settle bv st (Batch_failed { error; detail; stats = stepper_stats st }));
-            bv.bsecs <- bv.bsecs +. (Obs.Clock.now () -. t0)
-          end)
-        bvars
-    done;
-    if Obs.enabled s.obs && Solver.backend s.sv = Solver.Sparse then begin
-      let shared = ref 0 in
-      Array.iter
-        (fun bv ->
-          match bv.bsettled with
-          | Some (Batch_finished (_, st) )
-          | Some (Batch_dropped { stats = st; _ })
-          | Some (Batch_failed { stats = st; _ }) ->
-            shared := !shared + st.newton_iterations
-          | Some (Batch_overflow _) | None -> ())
-        bvars;
-      if !shared > 0 then Obs.count s.obs "batch.shared_factorisations" !shared
-    end;
-    Array.map
-      (fun bv ->
-        match bv.bsettled with
-        | Some outcome -> { outcome; seconds = bv.bsecs }
-        | None ->
-          (* A variant can only be unsettled if the grid was empty. *)
-          invalid_arg "Engine.Session.transient_batch: empty grid")
-      bvars
+    s.active <- compile_patch s patched;
+    Fun.protect ~finally:(fun () -> s.active <- s.base) (fun () -> f s)
 end
 
 (* --- DC transfer sweep ------------------------------------------------ *)
@@ -1305,20 +1131,3 @@ let run ?(options = default_options) ?(obs = Obs.null) circuit analysis =
         Analysis.Sweep_result (dc_sweep_impl ~opts ~obs circuit ~source ~values)
       | Analysis.Ac { source; freqs } ->
         Analysis.Ac_result (ac_impl ~opts ~obs circuit ~source ~freqs))
-
-(* --- Deprecated pre-Analysis entry points ----------------------------- *)
-
-let dc_operating_point ?(options = default_options) circuit =
-  op_impl ~opts:options ~obs:Obs.null circuit
-
-let transient_with_stats ?(options = default_options) circuit ~tstep ~tstop ~uic =
-  transient_impl ~opts:options ~obs:Obs.null circuit ~tstep ~tstop ~uic
-
-let transient ?options circuit ~tstep ~tstop ~uic =
-  fst (transient_with_stats ?options circuit ~tstep ~tstop ~uic)
-
-let dc_sweep ?(options = default_options) circuit ~source ~values =
-  dc_sweep_impl ~opts:options ~obs:Obs.null circuit ~source ~values
-
-let ac ?(options = default_options) circuit ~source ~freqs =
-  ac_impl ~opts:options ~obs:Obs.null circuit ~source ~freqs

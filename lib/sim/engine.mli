@@ -115,11 +115,19 @@ module Analysis : sig
         (** transient from 0 to [tstop]; [tstep] is the suggested output
             resolution and maximum internal step; with [uic] the initial
             state is zero node voltages overridden by capacitor [IC=]
-            values instead of the DC operating point *)
+            values instead of the DC operating point; the waveform
+            carries every node voltage plus ["I(name)"] for each branch
+            device *)
     | Dc_sweep of { source : string; values : float list }
-        (** DC transfer characteristic over the named V or I source *)
+        (** DC transfer characteristic over the named V or I source: the
+            operating point is re-solved for each value, warm-starting
+            from the previous point (continuation) *)
     | Ac of { source : string; freqs : float list }
-        (** small-signal analysis, unit drive on the named source *)
+        (** small-signal analysis around the DC operating point at each
+            frequency (Hz, increasing): the named V or I source drives
+            with unit magnitude and every other independent source is
+            quenched, so each node's phasor is the transfer function to
+            that node *)
 
   type result =
     | Op_result of solution
@@ -150,9 +158,10 @@ end
     time, dv-clamp hits, gmin/source-stepping fallbacks, step
     accept/reject) flows into [obs] (default {!Obs.null}, which is
     free); the whole analysis is additionally wrapped in an
-    ["engine.analysis"] span tagged with {!Analysis.kind}.  Raises like
-    the analysis-specific entry points it replaces: {!Sim_error},
-    [Invalid_argument]. *)
+    ["engine.analysis"] span tagged with {!Analysis.kind}.  Raises
+    {!Sim_error} when an analysis fails, and [Invalid_argument] on a
+    malformed request (invalid time parameters, a sweep or AC source
+    that names no independent source). *)
 val run :
   ?options:options ->
   ?obs:Obs.sink ->
@@ -160,40 +169,21 @@ val run :
   Analysis.t ->
   Analysis.result
 
-(** {1 Deprecated pre-{!Analysis} entry points}
+(** A checkpoint probe on a running transient.  The transient pauses at
+    each time of [grid] (ascending), once its accepted steps have
+    reached it, and calls [check i value] with the grid index and the
+    value of [signal] (a waveform name: node voltage or ["I(branch)"])
+    interpolated exactly as {!Waveform.value_at} would on the finished
+    waveform.  [`Stop] ends the run there: the returned waveform and
+    stats cover only the steps taken so far.  Pausing changes no step,
+    so a probe that always continues yields the unprobed result. *)
+type probe = {
+  signal : string;
+  grid : float array;
+  check : int -> float -> [ `Continue | `Stop ];
+}
 
-    Thin wrappers over {!run} kept for source compatibility; they run
-    without telemetry. *)
-
-val dc_operating_point : ?options:options -> Netlist.Circuit.t -> solution
-[@@deprecated "use Engine.run _ Analysis.Op"]
-
-(** [transient circuit ~tstep ~tstop ~uic] integrates from 0 to [tstop].
-    [tstep] is the suggested output resolution and the maximum internal
-    step.  With [uic] the initial state is zero node voltages overridden
-    by capacitor [IC=] values (SPICE "use initial conditions"); otherwise
-    the DC operating point is computed first.  The waveform carries every
-    node voltage plus ["I(name)"] for each branch device. *)
-val transient :
-  ?options:options ->
-  Netlist.Circuit.t ->
-  tstep:float ->
-  tstop:float ->
-  uic:bool ->
-  Waveform.t
-[@@deprecated "use Engine.run _ (Analysis.Tran _)"]
-
-(** Like {!transient}, also returning work counters. *)
-val transient_with_stats :
-  ?options:options ->
-  Netlist.Circuit.t ->
-  tstep:float ->
-  tstop:float ->
-  uic:bool ->
-  Waveform.t * stats
-[@@deprecated "use Engine.run _ (Analysis.Tran _)"]
-
-(** Batch solving of one circuit topology.
+(** One circuit topology, many solves.
 
     A session builds the MNA node map, the compiled device array and the
     solver scratch buffers (system matrix, RHS, LU pivot and
@@ -223,17 +213,22 @@ module Session : sig
   val options : t -> options
 
   (** DC operating point of the session's active circuit, reusing the
-      session buffers.  Raises {!Sim_error} like {!dc_operating_point}.
+      session buffers.  Raises {!Sim_error} like {!run} with
+      {!Analysis.Op}.
       [?options] overrides the session's solver options for this one
       solve (the buffers depend only on the topology) - retry ladders
       use it to relax tolerances without rebuilding the session. *)
   val solve_dc : ?options:options -> t -> solution
 
   (** Transient analysis of the session's active circuit, reusing the
-      session buffers; same semantics as {!transient_with_stats}, same
-      [?options] override as {!solve_dc}. *)
+      session buffers; same semantics as {!Analysis.Tran}, same
+      [?options] override as {!solve_dc}.  With [probe] the run is
+      checked at the probe's grid and may stop early (see {!probe});
+      raises [Not_found] when the probe's signal names no waveform of
+      the active circuit. *)
   val transient :
     ?options:options ->
+    ?probe:probe ->
     t ->
     tstep:float ->
     tstop:float ->
@@ -249,90 +244,4 @@ module Session : sig
       patch keep their compiled form; only replaced and appended devices
       are recompiled. *)
   val with_patch : t -> Netlist.Circuit.t -> (t -> 'a) -> 'a
-
-  (** {2 Lock-step batched transients}
-
-      [transient_batch] steps several patched variants of the session's
-      base circuit through one shared checkpoint grid, interleaved on
-      the session's single solver.  Each variant keeps its own adaptive
-      step size, integration state and work budget; what is shared is
-      the session's buffers and - on the sparse backend - one symbolic
-      analysis of the union stamp pattern, primed before any solve.  The
-      per-variant float operations are exactly those of a serial
-      {!transient} of the same patch, so waveforms and detection results
-      are unchanged by batching. *)
-
-  (** How one variant of a batched transient ended. *)
-  type batch_outcome =
-    | Batch_finished of Waveform.t * stats
-        (** ran to [tstop]; the waveform holds every accepted sample *)
-    | Batch_dropped of { grid_index : int; stats : stats }
-        (** the probe returned [`Drop] at checkpoint [grid_index]; the
-            variant was retired early *)
-    | Batch_failed of { error : error; detail : string; stats : stats }
-        (** this variant's own solve failed ({!Sim_error} payload); the
-            other variants are unaffected *)
-    | Batch_overflow of string
-        (** the patch exceeded the overlay reserve; the caller must fall
-            back to a full per-fault rebuild *)
-
-  type batch_result = {
-    outcome : batch_outcome;
-    seconds : float;  (** wall clock spent advancing this variant *)
-  }
-
-  (** [transient_batch t ~variants ~observe ~grid ~tstep ~tstop ~uic
-      ~probe] runs every circuit of [variants] (each a patch of the base
-      circuit, as for {!with_patch}) in lock-step.  At each time of
-      [grid] (ascending, typically the nominal run's resampled times,
-      ending at the nominal stop time) every live variant is advanced
-      past that time and the observed signal [observe] (a waveform name:
-      node voltage or ["I(branch)"]) is interpolated exactly as
-      {!Waveform.resample} would; [probe] then decides whether the
-      variant continues or is dropped.  Budgets apply per variant; a
-      deadline is measured from that variant's own start.  Raises
-      [Invalid_argument] when [observe] names no signal, the grid is
-      empty, or the time parameters are invalid; per-variant failures
-      are returned, not raised. *)
-  val transient_batch :
-    ?options:options ->
-    t ->
-    variants:Netlist.Circuit.t array ->
-    observe:string ->
-    grid:float array ->
-    tstep:float ->
-    tstop:float ->
-    uic:bool ->
-    probe:
-      (variant:int -> grid_index:int -> value:float -> [ `Continue | `Drop ]) ->
-    batch_result array
 end
-
-(** [dc_sweep circuit ~source ~values] computes the DC transfer
-    characteristic: the operating point is re-solved for each value of
-    the named V or I source, warm-starting from the previous point
-    (continuation).  Raises [Invalid_argument] when [source] names no
-    independent source. *)
-val dc_sweep :
-  ?options:options ->
-  Netlist.Circuit.t ->
-  source:string ->
-  values:float list ->
-  (float * solution) list
-[@@deprecated "use Engine.run _ (Analysis.Dc_sweep _)"]
-
-(** [ac circuit ~source ~freqs] performs small-signal AC analysis: the DC
-    operating point is computed, every device is linearised around it,
-    and the complex MNA system is solved at each frequency of [freqs]
-    (Hz, increasing).  The V or I source called [source] drives with unit
-    magnitude; all other independent sources are quenched, so each node's
-    phasor IS the transfer function to that node.  Raises
-    [Invalid_argument] when [source] names no independent source and
-    {!Sim_error} if the operating point fails. *)
-val ac :
-  ?options:options ->
-  Netlist.Circuit.t ->
-  source:string ->
-  freqs:float list ->
-  Spectrum.t
-[@@deprecated "use Engine.run _ (Analysis.Ac _)"]

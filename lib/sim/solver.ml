@@ -116,19 +116,6 @@ let add_current t i x = add_rhs t i x
 
 let finish t = match t with D _ -> () | S s -> Sparse.finish s.sp
 
-(* Pattern priming for a batch of stamp variants: run every pass (each
-   performs its own [begin_stamp] + stamps; values are discarded), then
-   compile the accumulated union pattern once.  The sparse backend keeps
-   pattern keys across [begin_stamp], so after priming no variant's
-   first real stamp decompiles the symbolic analysis.  Dense has no
-   pattern - priming is free there. *)
-let prime t passes =
-  match t with
-  | D _ -> ()
-  | S _ ->
-    List.iter (fun pass -> pass ()) passes;
-    finish t
-
 let factor_solve t =
   match t with
   | D d -> begin

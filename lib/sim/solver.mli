@@ -65,14 +65,6 @@ val add_current : t -> int -> float -> unit
 (** Seals the stamping pass (pattern compilation on the sparse path). *)
 val finish : t -> unit
 
-(** [prime t passes] accumulates the stamp pattern of every pass (each
-    performs its own {!begin_stamp} and stamps; the values are
-    discarded) and compiles the union pattern once, so none of the
-    passes' later real stamps triggers a symbolic recompilation.  Batched
-    fault simulation primes one pass per variant before stepping any of
-    them.  No-op on the dense backend. *)
-val prime : t -> (unit -> unit) list -> unit
-
 (** Factors the stamped system and leaves the solution in {!solution}.
     Raises {!Singular} when the matrix has no usable pivot. *)
 val factor_solve : t -> unit

@@ -1,8 +1,7 @@
-(* The pre-Analysis engine entry points, re-expressed through
-   {!Sim.Engine.run}.  The test suites predate the unified API and call
-   these shims; keeping them here (instead of silencing the deprecation
-   alert file by file) means the tests exercise exactly the code paths
-   the deprecated wrappers forward to. *)
+(* Per-analysis shorthands over {!Sim.Engine.run}, for test code that
+   wants a waveform, a solution or a spectrum rather than an
+   [Analysis.result].  Every call goes through [Engine.run], the one
+   analysis entry point. *)
 
 open Sim
 

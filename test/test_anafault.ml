@@ -183,7 +183,7 @@ let analyse_tests =
   ]
 
 (* Feed the incremental detector a faulty function over the shared grid,
-   stopping at the first final verdict (the batch loop's drop point);
+   stopping at the first final verdict (the campaign's early stop);
    returns the verdict and how many samples were needed. *)
 let incremental_verdict f =
   let nomv = Sim.Waveform.samples nominal "out" in
@@ -664,8 +664,12 @@ let expect_budget_exceeded what budget =
 (* A budget campaign: same inverter, 1000x longer transient.  The step
    size is capped at tstep, so every full simulation needs >= 400k
    accepted steps - far beyond any 50 ms wall-clock deadline - while the
-   unbudgeted nominal run still completes. *)
+   unbudgeted nominal run still completes.  The campaign observes the
+   supply rail, which no fault moves: no verdict becomes final early, so
+   fault dropping stops nothing and every fault runs into its budget. *)
 let tran_slow = { Netlist.Parser.tstep = 10e-9; tstop = 4e-3; uic = true }
+
+let budget_observed = "vdd"
 
 let deadline_options =
   {
@@ -699,8 +703,8 @@ let budget_tests =
         run_budgeted Sim.Engine.unlimited);
     Alcotest.test_case "50 ms deadline bounds every fault, serial" `Slow (fun () ->
         let config =
-          Anafault.Simulate.default_config ~tran:tran_slow ~observed:"out"
-            ~sim_options:deadline_options ~retries:[] ()
+          Anafault.Simulate.default_config ~tran:tran_slow
+            ~observed:budget_observed ~sim_options:deadline_options ~retries:[] ()
         in
         let t0 = Unix.gettimeofday () in
         let run = Anafault.Simulate.run config inverter faults in
@@ -708,8 +712,8 @@ let budget_tests =
         check_bool "terminated promptly" true (Unix.gettimeofday () -. t0 < 60.0));
     Alcotest.test_case "50 ms deadline bounds every fault, 4 domains" `Slow (fun () ->
         let config =
-          Anafault.Simulate.default_config ~tran:tran_slow ~observed:"out"
-            ~sim_options:deadline_options ~retries:[] ~domains:4 ()
+          Anafault.Simulate.default_config ~tran:tran_slow
+            ~observed:budget_observed ~sim_options:deadline_options ~retries:[] ~domains:4 ()
         in
         let t0 = Unix.gettimeofday () in
         let run, _ = Anafault.Parsim.execute config inverter faults in
@@ -883,39 +887,34 @@ let robust_tests =
           (match List.rev calls with (3, 3) :: _ -> true | _ -> false));
   ]
 
-(* --- Lock-step batched fault simulation ------------------------------- *)
+(* --- Fault dropping ------------------------------------------------------ *)
 
 let find_result (run : Anafault.Simulate.run) id =
   List.find
     (fun (r : Anafault.Simulate.fault_result) -> r.fault.Faults.Fault.id = id)
     run.Anafault.Simulate.results
 
+(* The full-transient reference: every fault through [run_one], the
+   rebuild path, which runs each transient to tstop without a probe. *)
+let reference config circuit (run : Anafault.Simulate.run) faults =
+  let nominal = run.Anafault.Simulate.nominal in
+  {
+    run with
+    Anafault.Simulate.results =
+      List.map (Anafault.Simulate.run_one config circuit ~nominal) faults;
+  }
+
 let batch_tests =
   [
-    Alcotest.test_case "auto width scales with campaign size" `Quick (fun () ->
-        let at ~domains ~total =
-          Anafault.Simulate.effective_batch
-            { config with Anafault.Simulate.domains }
-            ~total
-        in
-        check_int "smoke campaigns stay serial" 1 (at ~domains:1 ~total:6);
-        check_int "never zero" 1 (at ~domains:4 ~total:0);
-        check_int "large single-domain campaign" 16 (at ~domains:1 ~total:200);
-        check_int "width shrinks with more domains" 12 (at ~domains:4 ~total:200);
-        check_int "explicit width wins" 5
-          (Anafault.Simulate.effective_batch
-             { config with Anafault.Simulate.batch = 5 }
-             ~total:6));
-    Alcotest.test_case "batched run equals serial run bit-for-bit" `Quick
+    Alcotest.test_case "campaign equals full-transient reference" `Quick
       (fun () ->
-        let serial = Anafault.Simulate.run config inverter faults in
-        let batched, _ =
-          Anafault.Parsim.execute ~domains:1 ~batch:3 config inverter faults
-        in
+        let run, _ = Anafault.Parsim.execute config inverter faults in
         Alcotest.(check (list (pair string string)))
-          "same outcomes" (key serial) (key batched));
-    Alcotest.test_case "batched run equals serial on a synthesized grid" `Quick
-      (fun () ->
+          "same outcomes"
+          (key (reference config inverter run faults))
+          (key run));
+    Alcotest.test_case "campaign equals full-transient reference on a grid"
+      `Quick (fun () ->
         let circuit = Synth.Circuit_synth.resistor_grid ~rows:4 ~cols:4 () in
         let grid_faults =
           Faults.Universe.build circuit |> List.filteri (fun i _ -> i < 12)
@@ -923,42 +922,31 @@ let batch_tests =
         let tran = { Netlist.Parser.tstep = 1e-7; tstop = 2e-6; uic = false } in
         let observed = Anafault.Simulate.default_observed circuit in
         let config = Anafault.Simulate.default_config ~tran ~observed () in
-        let serial = Anafault.Simulate.run config circuit grid_faults in
-        let batched, _ =
-          Anafault.Parsim.execute ~domains:1 ~batch:4 config circuit grid_faults
-        in
+        let run, _ = Anafault.Parsim.execute config circuit grid_faults in
         Alcotest.(check (list (pair string string)))
-          "same outcomes" (key serial) (key batched));
+          "same outcomes"
+          (key (reference config circuit run grid_faults))
+          (key run));
     Alcotest.test_case "a decided fault is dropped early" `Quick (fun () ->
         let obs = Obs.memory () in
-        let config = { config with obs } in
-        let serial = Anafault.Simulate.run { config with obs = Obs.null } inverter faults in
-        let batched, _ =
-          Anafault.Parsim.execute ~domains:1 ~batch:3 config inverter faults
-        in
-        let events = Obs.drain obs in
-        check_bool "drops counted" true (counter_total events "batch.drops" >= 1);
-        (* The hard bridge is detected early in the window, so its batch
-           variant must stop stepping well before the serial one. *)
-        let b = find_result batched "#1" and s = find_result serial "#1" in
-        (match (b.outcome, s.outcome) with
-        | Anafault.Simulate.Detected tb, Anafault.Simulate.Detected ts ->
-          Alcotest.(check (float 0.0)) "same detection time" ts tb
+        let run = Anafault.Simulate.run { config with obs } inverter faults in
+        let full = reference config inverter run faults in
+        check_bool "early stops counted" true
+          (counter_total (Obs.drain obs) "anafault.early_stop" >= 1);
+        (* The hard bridge is detected early in the window, so its
+           transient must stop well before the full one ends. *)
+        let e = find_result run "#1" and f = find_result full "#1" in
+        (match (e.outcome, f.outcome) with
+        | Anafault.Simulate.Detected te, Anafault.Simulate.Detected tf ->
+          Alcotest.(check (float 0.0)) "same detection time" tf te
         | _ -> Alcotest.fail "expected the bridge detected in both runs");
-        check_bool "fewer accepted steps for the dropped variant" true
-          (b.stats.Sim.Engine.accepted_steps < s.stats.Sim.Engine.accepted_steps));
-    Alcotest.test_case "batch width does not change the fingerprint" `Quick
-      (fun () ->
-        check_bool "interchangeable journals" true
-          (Anafault.Simulate.fingerprint config inverter faults
-          = Anafault.Simulate.fingerprint
-              { config with Anafault.Simulate.batch = 8 }
-              inverter faults));
-    Alcotest.test_case "progress is monotone and complete under batching" `Quick
+        check_bool "fewer accepted steps for the stopped fault" true
+          (e.stats.Sim.Engine.accepted_steps < f.stats.Sim.Engine.accepted_steps));
+    Alcotest.test_case "progress is monotone and complete on two domains" `Quick
       (fun () ->
         let calls = ref [] in
         let _ =
-          Anafault.Parsim.execute ~clamp:false ~domains:2 ~batch:2
+          Anafault.Parsim.execute ~clamp:false ~domains:2
             ~progress:(fun d t -> calls := (d, t) :: !calls)
             config inverter faults
         in
@@ -1128,18 +1116,18 @@ let journal_tests =
         Anafault.Journal.close j2;
         Alcotest.(check (list (pair string string)))
           "parallel resume bit-for-bit" (key serial) (key resumed));
-    Alcotest.test_case "journals are interchangeable between batch widths" `Quick
-      (fun () ->
-        (* A journal written by the batched scheduler resumes under the
-           serial one and vice versa: the fingerprint ignores the batch
-           width and the records carry identical payloads. *)
+    Alcotest.test_case "journals are interchangeable between serial and parallel runs"
+      `Quick (fun () ->
+        (* A journal written by the parallel scheduler resumes under the
+           serial one and vice versa: the fingerprint ignores the domain
+           count and the records carry identical payloads. *)
         with_temp_journal @@ fun path ->
         let fp = Anafault.Simulate.fingerprint config inverter faults in
         let fault_arr = Array.of_list faults in
         let j = start_exn ~path ~fingerprint:fp ~resume:false ~faults:fault_arr in
-        let batched, _ =
-          Anafault.Parsim.execute ~journal:j ~domains:1 ~batch:3 config inverter
-            faults
+        let parallel, _ =
+          Anafault.Parsim.execute ~journal:j ~clamp:false ~domains:2 config
+            inverter faults
         in
         Anafault.Journal.close j;
         let j2 = start_exn ~path ~fingerprint:fp ~resume:true ~faults:fault_arr in
@@ -1150,10 +1138,10 @@ let journal_tests =
         in
         Anafault.Journal.close j2;
         Alcotest.(check (list (pair string string)))
-          "serial resume of a batched journal" (key batched) (key serial);
+          "serial resume of a parallel journal" (key parallel) (key serial);
         check_int "nothing re-simulated" 3
           (counter_total (Obs.drain obs) "journal.skipped");
-        (* And the other direction: a serial journal resumed batched. *)
+        (* And the other direction: a serial journal resumed in parallel. *)
         with_temp_journal @@ fun path2 ->
         let j3 =
           start_exn ~path:path2 ~fingerprint:fp ~resume:false ~faults:fault_arr
@@ -1163,13 +1151,13 @@ let journal_tests =
         let j4 =
           start_exn ~path:path2 ~fingerprint:fp ~resume:true ~faults:fault_arr
         in
-        let rebatched, _ =
-          Anafault.Parsim.execute ~journal:j4 ~domains:1 ~batch:3 config inverter
-            faults
+        let resumed, _ =
+          Anafault.Parsim.execute ~journal:j4 ~clamp:false ~domains:2 config
+            inverter faults
         in
         Anafault.Journal.close j4;
         Alcotest.(check (list (pair string string)))
-          "batched resume of a serial journal" (key serial2) (key rebatched));
+          "parallel resume of a serial journal" (key serial2) (key resumed));
     Alcotest.test_case "different configs fingerprint differently" `Quick (fun () ->
         let fp = Anafault.Simulate.fingerprint config inverter faults in
         check_bool "model changes it" true

@@ -76,7 +76,7 @@ let codec_tests =
           ok "options_of_cli"
             (Campaign.options_of_cli ~model:"resistor" ~solver:"sparse"
                ~tol_v:1.5 ~tol_t:0.3e-6 ~retries:"swap-model,cut-tstep=0.25"
-               ~samples:200 ~domains:3 ~batch:4 ~budget_iters:1000
+               ~samples:200 ~domains:3 ~budget_iters:1000
                ~budget_steps:5000 ~budget_seconds:2.5 ())
         in
         let back =
@@ -249,7 +249,7 @@ let fingerprint_tests =
           {
             spec with
             Campaign.options =
-              { spec.Campaign.options with Campaign.domains = 7; batch = 5 };
+              { spec.Campaign.options with Campaign.domains = 7 };
           }
         in
         check_string "same" pinned_fingerprint
@@ -268,6 +268,28 @@ let fingerprint_tests =
         check_bool "different" true
           ((ok "compile" (Campaign.compile tighter)).Campaign.fingerprint
           <> pinned_fingerprint));
+    Alcotest.test_case "options with a retired batch width still decode" `Quick
+      (fun () ->
+        (* Options written before the batch width was removed carry a
+           "batch" field; journals, WAL entries and cached specs holding
+           them must replay with the same fingerprint. *)
+        let fields =
+          match Campaign.options_to_json spec.Campaign.options with
+          | J.Obj fields -> fields
+          | _ -> Alcotest.fail "options encode as an object"
+        in
+        let legacy =
+          ok "options_of_json"
+            (Campaign.options_of_json (J.Obj (fields @ [ ("batch", J.Int 16) ])))
+        in
+        check_bool "same options" true (legacy = spec.Campaign.options);
+        let fp options =
+          let c = ok "compile" (Campaign.compile { spec with Campaign.options }) in
+          Anafault.Simulate.fingerprint c.Campaign.config c.Campaign.circuit
+            c.Campaign.faults
+        in
+        check_string "same fingerprint" (fp spec.Campaign.options) (fp legacy);
+        check_string "the pinned golden" pinned_fingerprint (fp legacy));
   ]
 
 (* --- Compile validation ------------------------------------------------ *)
@@ -1327,12 +1349,12 @@ let contains ~needle hay =
   let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in
   at 0
 
-(* A serial-path spec (batch = 1) so the cancel lands at a
+(* A serial-path spec (one domain) so the cancel lands at a
    deterministic fault boundary. *)
 let serial_spec =
   {
     spec with
-    Campaign.options = { Campaign.default_options with Campaign.batch = 1 };
+    Campaign.options = { Campaign.default_options with Campaign.domains = 1 };
   }
 
 let cancel_tests =
