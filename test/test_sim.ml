@@ -421,6 +421,61 @@ let session_tests =
         match Sim.Engine.Session.with_patch s patched (fun _ -> ()) with
         | exception Sim.Engine.Patch_overflow _ -> ()
         | _ -> Alcotest.fail "expected Patch_overflow");
+    Alcotest.test_case "a probe reads the waveform and can stop the run" `Quick
+      (fun () ->
+        let c = parse "rc\nV1 in 0 5\nR1 in out 1k\nC1 out 0 1u IC=0\n.end\n" in
+        let s = Sim.Engine.Session.create c in
+        let run ?probe () =
+          Sim.Engine.Session.transient ?probe s ~tstep:1e-5 ~tstop:2e-3 ~uic:true
+        in
+        let grid = Array.init 41 (fun i -> float_of_int i *. 5e-5) in
+        let full, full_stats = run () in
+        let seen = ref [] in
+        let watching, watching_stats =
+          run
+            ~probe:
+              {
+                Sim.Engine.signal = "out";
+                grid;
+                check =
+                  (fun i v ->
+                    seen := (i, v) :: !seen;
+                    `Continue);
+              }
+            ()
+        in
+        check_bool "a probe that continues changes nothing" true
+          (Sim.Waveform.times watching = Sim.Waveform.times full
+          && Sim.Waveform.samples watching "out" = Sim.Waveform.samples full "out"
+          && watching_stats = full_stats);
+        check_bool "every checkpoint read as value_at would" true
+          (List.rev !seen
+          = Array.to_list
+              (Array.mapi (fun i t -> (i, Sim.Waveform.value_at full "out" t)) grid));
+        let stopped, stopped_stats =
+          run
+            ~probe:
+              {
+                Sim.Engine.signal = "out";
+                grid;
+                check = (fun i _ -> if i = 10 then `Stop else `Continue);
+              }
+            ()
+        in
+        let times = Sim.Waveform.times stopped in
+        let last = times.(Array.length times - 1) in
+        check_bool "stopped just past the checkpoint" true
+          (last >= grid.(10) && last < grid.(11));
+        check_bool "fewer accepted steps" true
+          (stopped_stats.Sim.Engine.accepted_steps
+          < full_stats.Sim.Engine.accepted_steps);
+        match
+          run
+            ~probe:{ Sim.Engine.signal = "nowhere"; grid; check = (fun _ _ -> `Continue) }
+            ()
+        with
+        | exception Not_found -> ()
+        | _ -> Alcotest.fail "an unknown probe signal must raise Not_found");
   ]
 
 (* Property tests on whole analyses. *)
